@@ -19,7 +19,9 @@ use galloper::Galloper;
 use galloper_bench::table::{mb, secs, Table};
 use galloper_bench::{emit_json, env_usize, payload};
 use galloper_carousel::Carousel;
-use galloper_dfs::{faults, AsLinearCode, Dfs, ErasureCode, FaultPlan, FaultPlanConfig};
+use galloper_dfs::{
+    faults, AsLinearCode, Dfs, ErasureCode, FaultPlan, FaultPlanConfig, ReadOptions,
+};
 use galloper_obs::Json;
 use galloper_pyramid::Pyramid;
 use galloper_rs::ReedSolomon;
@@ -132,14 +134,14 @@ where
         requeued += report.requeued;
 
         if t % 4 == 0 {
-            let (bytes, _) = dfs.get_with_retry("chaos-object").unwrap();
-            assert_eq!(bytes, data, "{family} t={t}: corrupted get");
+            let patient = ReadOptions::full().with_retries(dfs.retry_limit());
+            let whole = dfs.read("chaos-object", patient).unwrap();
+            assert_eq!(whole.bytes, data, "{family} t={t}: corrupted get");
             let offset = rng.usize_in(0, data.len());
             let len = rng.usize_in(0, data.len() - offset + 1);
-            let (bytes, _) = dfs
-                .read_range_with_retry("chaos-object", offset, len)
-                .unwrap();
-            assert_eq!(bytes, &data[offset..offset + len], "{family} t={t}");
+            let patient = ReadOptions::range(offset, len).with_retries(dfs.retry_limit());
+            let part = dfs.read("chaos-object", patient).unwrap();
+            assert_eq!(part.bytes, &data[offset..offset + len], "{family} t={t}");
             reads += 2;
         }
     }

@@ -266,26 +266,6 @@ pub fn seed_from_env(default: u64) -> u64 {
     }
 }
 
-/// The retry budget from `GALLOPER_REPAIR_RETRIES`, defaulting to 5
-/// (backoff waits 1+2+4+8+16 = 31 ticks total). Malformed values warn
-/// on stderr.
-pub fn retry_limit_from_env() -> usize {
-    const DEFAULT: usize = 5;
-    match std::env::var("GALLOPER_REPAIR_RETRIES") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!(
-                    "warning: GALLOPER_REPAIR_RETRIES={raw:?} is not an integer; \
-                     using default {DEFAULT}"
-                );
-                DEFAULT
-            }
-        },
-        Err(_) => DEFAULT,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,13 +352,10 @@ mod tests {
 
     #[test]
     fn env_helpers_fall_back() {
-        // Only assert the defaults when the variables are not exported
-        // by the surrounding test run (ci.sh pins GALLOPER_FAULT_SEED).
+        // Only assert the default when the variable is not exported by
+        // the surrounding test run (ci.sh pins GALLOPER_FAULT_SEED).
         if std::env::var("GALLOPER_FAULT_SEED").is_err() {
             assert_eq!(seed_from_env(7), 7);
-        }
-        if std::env::var("GALLOPER_REPAIR_RETRIES").is_err() {
-            assert_eq!(retry_limit_from_env(), 5);
         }
     }
 }

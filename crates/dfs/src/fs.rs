@@ -4,12 +4,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use galloper_erasure::stream::{AlignedBuf, StreamError, StripeDecoder, StripeEncoder};
-use galloper_erasure::{
-    AsLinearCode, CodeError, ErasureCode, ObjectCodec, ObjectManifest, ReadStats,
-};
+use galloper_erasure::{AsLinearCode, CodeError, ErasureCode, ObjectManifest};
 use galloper_obs::{global, op, Histogram, OpContext};
 
-use crate::faults::{self, Fault, FaultPlan, TimedFault};
+use crate::faults::{Fault, FaultPlan, TimedFault};
 use crate::repair_queue::RepairQueue;
 use crate::store::{BlockGet, BlockKey, BlockStore, MemStore, StoreError};
 use crate::{FileHealth, FsckReport, GroupHealth};
@@ -232,8 +230,7 @@ pub struct DrainReport {
 }
 
 /// What to read and how hard to try: the single configuration for
-/// [`Dfs::read`], replacing the historical `get` / `get_with_retry` /
-/// `read_range*` method family.
+/// [`Dfs::read`].
 ///
 /// ```
 /// use galloper_dfs::ReadOptions;
@@ -279,10 +276,8 @@ impl ReadOptions {
     }
 }
 
-/// Per-read accounting returned by [`Dfs::read`] — one shape for every
-/// read, where the historical API returned bare bytes, `(bytes,
-/// attempts)` tuples, or `(bytes, ReadStats)` pairs depending on the
-/// method.
+/// Per-read accounting returned by [`Dfs::read`] — one shape for
+/// whole-object and range reads, with or without retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct ReadReport {
@@ -311,6 +306,10 @@ pub struct ReadOutcome {
     /// What it took to produce them.
     pub stats: ReadReport,
 }
+
+/// Default for [`Dfs::retry_limit`]: with the read path's doubling
+/// backoff, five retries wait out 1+2+4+8+16 = 31 ticks.
+const DEFAULT_RETRY_LIMIT: usize = 5;
 
 /// An in-memory erasure-coded distributed file system.
 ///
@@ -370,7 +369,7 @@ pub struct ReadOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Dfs<C, S = MemStore> {
-    codec: ObjectCodec<C>,
+    code: C,
     health: Vec<ServerHealth>,
     /// Per-server service-rate multiplier (1.0 = nominal, < 1 =
     /// straggler). Not consulted by the in-memory data path; it feeds
@@ -396,8 +395,8 @@ impl<C: ErasureCode> Dfs<C> {
     /// Creates a DFS over `num_servers` empty in-memory servers using
     /// `code` for every file.
     ///
-    /// The retry budget for transient outages defaults to
-    /// `GALLOPER_REPAIR_RETRIES` (or 5); see [`Dfs::set_retry_limit`].
+    /// The retry budget for blocked repairs defaults to 5; see
+    /// [`Dfs::set_retry_limit`].
     ///
     /// # Panics
     ///
@@ -425,7 +424,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         );
         let n = stores.len();
         Dfs {
-            codec: ObjectCodec::new(code),
+            code,
             health: vec![ServerHealth::Up; n],
             slow: vec![1.0; n],
             stores,
@@ -435,13 +434,13 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             clock: 0,
             pending: Vec::new(),
             queue: RepairQueue::new(),
-            retry_limit: faults::retry_limit_from_env(),
+            retry_limit: DEFAULT_RETRY_LIMIT,
         }
     }
 
     /// The inner code.
     pub fn code(&self) -> &C {
-        self.codec.code()
+        &self.code
     }
 
     /// Number of servers (live and failed).
@@ -498,13 +497,14 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         self.clock
     }
 
-    /// How often a blocked operation retries before giving up; also the
-    /// per-entry requeue budget of [`Dfs::drain_repairs`].
+    /// How often [`Dfs::drain_repairs`] requeues an entry blocked by a
+    /// transient outage before dropping it — and the budget callers
+    /// conventionally hand to [`ReadOptions::with_retries`].
     pub fn retry_limit(&self) -> usize {
         self.retry_limit
     }
 
-    /// Overrides the retry budget (see [`Dfs::get_with_retry`]).
+    /// Overrides the retry budget (see [`Dfs::retry_limit`]).
     pub fn set_retry_limit(&mut self, retries: usize) {
         self.retry_limit = retries;
     }
@@ -528,87 +528,34 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         &self.stores[server]
     }
 
-    /// Stores a file.
+    /// Stores a file: a staged put whose single append also seals, so
+    /// the bytes take exactly the path of [`Dfs::put_begin`] /
+    /// [`Dfs::put_append`] / [`Dfs::put_commit`] and land in identical
+    /// blocks on identical servers.
     ///
     /// # Errors
     ///
     /// [`DfsError::AlreadyExists`] for duplicate names;
     /// [`DfsError::Store`] when a block store rejects a write; coding
-    /// errors are impossible here but propagated defensively.
+    /// errors are impossible here but propagated defensively. A failed
+    /// put leaves no blocks behind and the name free.
     pub fn put(&mut self, name: &str, data: &[u8]) -> Result<FileId, DfsError> {
         let mut scope = OpScope::new("dfs.put", "put", name, "dfs.op.put_us");
         scope.report.bytes_in = data.len() as u64;
-        let res = self.put_inner(name, data, &mut scope.report);
-        scope.finish(res.is_ok());
-        res
-    }
-
-    fn put_inner(
-        &mut self,
-        name: &str,
-        data: &[u8],
-        report: &mut op::OpReport,
-    ) -> Result<FileId, DfsError> {
-        if self.files.contains_key(name) || self.open_puts.contains_key(name) {
-            return Err(DfsError::AlreadyExists(name.to_string()));
+        let res = self.put_begin(name).and_then(|_| self.put_seal(name, data));
+        if let Ok((_, stored)) = res {
+            scope.report.bytes_out = stored;
+            scope.report.stripes = self.files[name].manifest.num_groups as u64;
         }
-        let id = FileId(self.next_id);
-        // Stream the object through the code one coding group at a time:
-        // each group is placed and stored as soon as it is encoded, and
-        // the driver's buffer pool recycles the block buffers, so only
-        // one group of codec memory is ever in flight. The fields are
-        // split so the sink can write `stores` while the encoder borrows
-        // the code.
-        let Dfs {
-            codec,
-            health,
-            stores,
-            ..
-        } = self;
-        let mut placements: Vec<Vec<usize>> = Vec::new();
-        let mut bytes_stored = 0u64;
-        let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
-            let servers = place_group(health, stores, blocks.len(), id.0 + g)?;
-            for (b, block) in blocks.iter().enumerate() {
-                block_bytes_hist().record(block.len() as u64);
-                bytes_stored += block.len() as u64;
-                stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
-            }
-            placements.push(servers);
-            Ok(())
-        };
-        let mut encoder = StripeEncoder::new(codec.code(), sink);
-        // Whole messages encode straight out of `data` (no staging copy);
-        // only the ragged tail is staged and padded.
-        let message_len = codec.code().message_len();
-        let whole = data.chunks_exact(message_len);
-        let tail = whole.remainder();
-        let msgs: Vec<&[u8]> = whole.collect();
-        encoder.push_messages(&msgs).map_err(put_error)?;
-        encoder.push(tail).map_err(put_error)?;
-        let (manifest, _) = encoder.finish().map_err(put_error)?;
-        global().counter("dfs.bytes_written").add(bytes_stored);
-        report.bytes_out = bytes_stored;
-        report.stripes = manifest.num_groups as u64;
-        self.next_id += 1;
-        self.files.insert(
-            name.to_string(),
-            FileMeta {
-                id,
-                name: name.to_string(),
-                manifest,
-                placements,
-            },
-        );
-        Ok(id)
+        scope.finish(res.is_ok());
+        res.map(|(id, _)| id)
     }
 
-    /// Opens a chunked upload: the streaming sibling of [`Dfs::put`]
-    /// for objects that arrive piecewise (a network transfer, a pipe).
-    /// Feed bytes with [`Dfs::put_append`]; the file becomes visible to
-    /// reads only at [`Dfs::put_commit`]. Memory held per open upload
-    /// is one coding group plus a sub-message staging remainder —
-    /// constant in the object's length.
+    /// Opens a chunked upload, for objects that arrive piecewise (a
+    /// network transfer, a pipe). Feed bytes with [`Dfs::put_append`];
+    /// the file becomes visible to reads only at [`Dfs::put_commit`].
+    /// Memory held per open upload is one coding group plus a
+    /// sub-message staging remainder — constant in the object's length.
     ///
     /// # Errors
     ///
@@ -648,65 +595,12 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// placement/store/coding failures as [`Dfs::put`]. After an error
     /// the upload should be [`Dfs::put_abort`]ed.
     pub fn put_append(&mut self, name: &str, data: &[u8]) -> Result<(), DfsError> {
-        let Dfs {
-            codec,
-            health,
-            stores,
-            open_puts,
-            ..
-        } = self;
-        let open = open_puts
-            .get_mut(name)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        let message_len = codec.code().message_len();
-        let whole = (open.stage.len() + data.len()) / message_len * message_len;
-        if whole == 0 {
-            open.stage.extend_from_slice(data);
-            open.meta.manifest.object_len += data.len();
-            return Ok(());
-        }
-        // Bytes of `data` that complete whole messages; the staged
-        // remainder is always shorter than one message, so a nonzero
-        // `whole` consumes all of it.
-        let consume = whole - open.stage.len();
-        let boundary = ((message_len - open.stage.len() % message_len) % message_len).min(consume);
-        let id = open.meta.id;
-        let first_group = open.meta.manifest.num_groups;
-        let mut bytes_stored = 0u64;
-        let num_groups = {
-            let placements = &mut open.meta.placements;
-            let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
-                let servers = place_group(health, stores, blocks.len(), id.0 + g)?;
-                for (b, block) in blocks.iter().enumerate() {
-                    block_bytes_hist().record(block.len() as u64);
-                    bytes_stored += block.len() as u64;
-                    stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
-                }
-                placements.push(servers);
-                Ok(())
-            };
-            let mut encoder = StripeEncoder::new(codec.code(), sink).with_first_group(first_group);
-            // Complete the staged message first, then encode the
-            // remaining whole messages straight out of `data`.
-            encoder.push(&open.stage).map_err(put_error)?;
-            encoder.push(&data[..boundary]).map_err(put_error)?;
-            let msgs: Vec<&[u8]> = data[boundary..consume].chunks_exact(message_len).collect();
-            encoder.push_messages(&msgs).map_err(put_error)?;
-            let (manifest, _) = encoder.finish().map_err(put_error)?;
-            manifest.num_groups
-        };
-        global().counter("dfs.bytes_written").add(bytes_stored);
-        open.meta.manifest.num_groups = num_groups;
-        open.meta.manifest.object_len += data.len();
-        open.stage.clear();
-        open.stage.extend_from_slice(&data[consume..]);
-        Ok(())
+        self.put_encode(name, data, false).map(|_| ())
     }
 
     /// Seals an open upload: pads and stores the ragged tail (an empty
-    /// object still occupies one all-zero group, exactly as
-    /// [`Dfs::put`] would) and publishes the file to readers. Returns
-    /// the id assigned at [`Dfs::put_begin`].
+    /// object still occupies one all-zero group) and publishes the file
+    /// to readers. Returns the id assigned at [`Dfs::put_begin`].
     ///
     /// # Errors
     ///
@@ -715,55 +609,92 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// upload is destroyed and its stored blocks are reclaimed
     /// best-effort.
     pub fn put_commit(&mut self, name: &str) -> Result<FileId, DfsError> {
-        if !self.open_puts.contains_key(name) {
-            return Err(DfsError::NotFound(name.to_string()));
-        }
-        let res = self.put_commit_inner(name);
-        if res.is_err() {
-            self.put_abort(name);
-        }
-        res
+        self.put_seal(name, &[]).map(|(id, _)| id)
     }
 
-    fn put_commit_inner(&mut self, name: &str) -> Result<FileId, DfsError> {
+    /// Appends the upload's final bytes, seals it and publishes the
+    /// file, returning its id and the block bytes this call stored. Any
+    /// failure aborts the upload.
+    fn put_seal(&mut self, name: &str, data: &[u8]) -> Result<(FileId, u64), DfsError> {
+        let stored = self.put_encode(name, data, true).inspect_err(|_| {
+            self.put_abort(name);
+        })?;
+        let open = self.open_puts.remove(name).expect("sealed just above");
+        let id = open.meta.id;
+        self.files.insert(name.to_string(), open.meta);
+        Ok((id, stored))
+    }
+
+    /// The put core: encodes the upload's staged remainder followed by
+    /// `data`, placing and storing every coding group that completes,
+    /// and returns the block bytes stored. Without `seal` the bytes
+    /// past the last message boundary stay staged for the next call;
+    /// with it they are zero-padded into the final group. Groups stream
+    /// through the code one at a time and the encoder's pool recycles
+    /// the block buffers, so only one group of codec memory is ever in
+    /// flight.
+    fn put_encode(&mut self, name: &str, data: &[u8], seal: bool) -> Result<u64, DfsError> {
+        // The fields are split so the sink can write `stores` while the
+        // encoder borrows the code.
         let Dfs {
-            codec,
+            code,
             health,
             stores,
             open_puts,
-            files,
             ..
         } = self;
-        let open = open_puts.get_mut(name).expect("checked by put_commit");
-        let id = open.meta.id;
-        if !open.stage.is_empty() || open.meta.manifest.object_len == 0 {
-            let first_group = open.meta.manifest.num_groups;
-            let mut bytes_stored = 0u64;
-            let num_groups = {
-                let placements = &mut open.meta.placements;
-                let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
-                    let servers = place_group(health, stores, blocks.len(), id.0 + g)?;
-                    for (b, block) in blocks.iter().enumerate() {
-                        block_bytes_hist().record(block.len() as u64);
-                        bytes_stored += block.len() as u64;
-                        stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
-                    }
-                    placements.push(servers);
-                    Ok(())
-                };
-                let mut encoder =
-                    StripeEncoder::new(codec.code(), sink).with_first_group(first_group);
-                encoder.push(&open.stage).map_err(put_error)?;
-                let (manifest, _) = encoder.finish().map_err(put_error)?;
-                manifest.num_groups
-            };
-            global().counter("dfs.bytes_written").add(bytes_stored);
-            open.meta.manifest.num_groups = num_groups;
-            open.stage.clear();
+        let OpenPut { meta, stage } = open_puts
+            .get_mut(name)
+            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
+        let message_len = code.message_len();
+        // Bytes of `data` encoded by this call. The staged remainder is
+        // always shorter than one message, so a nonzero count consumes
+        // all of it.
+        let consume = if seal {
+            data.len()
+        } else {
+            ((stage.len() + data.len()) / message_len * message_len).saturating_sub(stage.len())
+        };
+        if consume == 0 && !seal {
+            stage.extend_from_slice(data);
+            meta.manifest.object_len += data.len();
+            return Ok(0);
         }
-        let open = open_puts.remove(name).expect("still open");
-        files.insert(name.to_string(), open.meta);
-        Ok(id)
+        // Bytes of `data` that complete the staged message.
+        let boundary = ((message_len - stage.len()) % message_len).min(consume);
+        let id = meta.id;
+        let placements = &mut meta.placements;
+        let mut bytes_stored = 0u64;
+        let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
+            // Recorded before the first store, so an abort also reclaims
+            // a group whose stores failed partway.
+            placements.push(place_group(health, stores, blocks.len(), id.0 + g)?);
+            for (b, (block, &server)) in blocks.iter().zip(&placements[g]).enumerate() {
+                block_bytes_hist().record(block.len() as u64);
+                stores[server].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
+                bytes_stored += block.len() as u64;
+            }
+            Ok(())
+        };
+        let mut encoder =
+            StripeEncoder::new(&*code, sink).with_first_group(meta.manifest.num_groups);
+        // Complete the staged message first; whole messages then encode
+        // straight out of `data` (no staging copy), and only a sealing
+        // call's ragged tail is staged and padded.
+        encoder.push(stage).map_err(put_error)?;
+        encoder.push(&data[..boundary]).map_err(put_error)?;
+        let whole = data[boundary..consume].chunks_exact(message_len);
+        let tail = whole.remainder();
+        let msgs: Vec<&[u8]> = whole.collect();
+        encoder.push_messages(&msgs).map_err(put_error)?;
+        encoder.push(tail).map_err(put_error)?;
+        let (manifest, _) = encoder.finish().map_err(put_error)?;
+        global().counter("dfs.bytes_written").add(bytes_stored);
+        meta.manifest.num_groups = manifest.num_groups;
+        meta.manifest.object_len += data.len();
+        stage.clear();
+        stage.extend_from_slice(&data[consume..]);
+        Ok(bytes_stored)
     }
 
     /// Destroys an open upload, reclaiming its stored blocks
@@ -783,6 +714,14 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         true
     }
 
+    /// The committed file's metadata (an upload still open is not
+    /// found).
+    fn meta(&self, name: &str) -> Result<&FileMeta, DfsError> {
+        self.files
+            .get(name)
+            .ok_or_else(|| DfsError::NotFound(name.to_string()))
+    }
+
     /// The committed object's manifest (length and group count) — what
     /// a chunked read needs to size its windows.
     ///
@@ -790,17 +729,14 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     ///
     /// [`DfsError::NotFound`] (an upload still open is not found).
     pub fn object_manifest(&self, name: &str) -> Result<ObjectManifest, DfsError> {
-        self.files
-            .get(name)
-            .map(|m| m.manifest)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))
+        self.meta(name).map(|m| m.manifest)
     }
 
     /// Decodes one window of a file — up to `max_groups` coding groups
     /// starting at `first_group` — returning exactly the object bytes
     /// those groups carry (tail padding already truncated). Degraded
-    /// groups decode through the same routing-around machinery as
-    /// [`Dfs::get`]; memory is one window, not the object.
+    /// groups decode through the same loop as [`Dfs::get`]; memory is
+    /// one window, not the object.
     ///
     /// # Errors
     ///
@@ -814,44 +750,26 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         first_group: usize,
         max_groups: usize,
     ) -> Result<Vec<u8>, DfsError> {
-        let meta = self
-            .files
-            .get(name)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        if first_group > meta.manifest.num_groups {
+        let meta = self.meta(name)?;
+        let num_groups = meta.manifest.num_groups;
+        if first_group > num_groups {
             return Err(DfsError::OutOfRange {
                 end: first_group,
-                len: meta.manifest.num_groups,
+                len: num_groups,
             });
         }
-        let end = meta
-            .manifest
-            .num_groups
-            .min(first_group.saturating_add(max_groups));
-        let mut decoder = StripeDecoder::new(self.codec.code(), meta.manifest);
-        decoder.seek_group(first_group);
-        let mut out = Vec::new();
-        for g in first_group..end {
-            let blocks = self.group_availability(meta, g);
-            let present: u64 = blocks.iter().flatten().map(|b| b.len() as u64).sum();
-            global().counter("dfs.bytes_read").add(present);
-            if blocks.iter().any(|b| b.is_none()) {
-                global().counter("dfs.degraded_reads").inc();
-            }
-            let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
-            let payload = decoder
-                .next_group(&refs)
-                .map_err(|_| self.group_read_error(meta, g))?;
-            out.extend_from_slice(&payload);
-        }
-        Ok(out)
+        let end = num_groups.min(first_group.saturating_add(max_groups));
+        self.decode_groups(
+            meta,
+            first_group..end,
+            &mut op::OpReport::default(),
+            &mut Vec::new(),
+        )
     }
 
-    /// Reads a whole file, tolerating lost blocks (degraded read).
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with [`ReadOptions::full`], which also
-    /// returns the read's accounting.
+    /// Reads a whole file, tolerating lost blocks (degraded read) and
+    /// failing fast on transient outages; [`Dfs::read`] adds ranges,
+    /// retries and per-read accounting.
     ///
     /// # Errors
     ///
@@ -861,47 +779,48 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// [`ReadOptions::with_retries`]).
     pub fn get(&self, name: &str) -> Result<Vec<u8>, DfsError> {
         let mut scope = OpScope::new("dfs.get", "get", name, "dfs.op.get_us");
-        let mut degraded = Vec::new();
-        let res = self.get_inner(name, &mut scope.report, &mut degraded);
+        let res = self.meta(name).and_then(|meta| {
+            let all = 0..meta.manifest.num_groups;
+            self.decode_groups(meta, all, &mut scope.report, &mut Vec::new())
+        });
         scope.finish(res.is_ok());
         res
     }
 
-    /// The body of full-file reads, accumulating accounting into
-    /// `report` and the indices of groups that needed a degraded decode
-    /// into `degraded` (for read-triggered repair). The
+    /// The read core: decodes the window `groups` of a file group by
+    /// group, routing around unusable blocks, accumulating accounting
+    /// into `report` and the indices of groups that needed a degraded
+    /// decode into `degraded` (for read-triggered repair). The
     /// `dfs.bytes_read` / `dfs.degraded_reads` counters move in
     /// lockstep with the report fields, so an op-log line can be
     /// cross-checked against the registry.
-    fn get_inner(
+    fn decode_groups(
         &self,
-        name: &str,
+        meta: &FileMeta,
+        groups: std::ops::Range<usize>,
         report: &mut op::OpReport,
         degraded: &mut Vec<usize>,
     ) -> Result<Vec<u8>, DfsError> {
-        let meta = self
-            .files
-            .get(name)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        let mut decoder = StripeDecoder::new(self.codec.code(), meta.manifest);
-        let mut out = Vec::with_capacity(meta.manifest.object_len);
-        for g in 0..meta.manifest.num_groups {
+        let mut decoder = StripeDecoder::new(&self.code, meta.manifest);
+        decoder.seek_group(groups.start);
+        let window = groups.len().saturating_mul(self.code.message_len());
+        let mut out = Vec::with_capacity(window.min(meta.manifest.object_len));
+        for g in groups {
             let blocks = self.group_availability(meta, g);
             let present: u64 = blocks.iter().flatten().map(|b| b.len() as u64).sum();
             global().counter("dfs.bytes_read").add(present);
             report.bytes_in += present;
-            let lost = blocks.iter().filter(|b| b.is_none()).count();
-            let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
-            let payload = if lost > 0 {
+            let lost = blocks.iter().any(|b| b.is_none());
+            if lost {
                 global().counter("dfs.degraded_reads").inc();
                 report.degraded_reads += 1;
                 degraded.push(g);
-                let _span = op::span("dfs.degraded_decode", "dfs");
-                decoder.next_group(&refs)
-            } else {
-                decoder.next_group(&refs)
             }
-            .map_err(|_| self.group_read_error(meta, g))?;
+            let _span = lost.then(|| op::span("dfs.degraded_decode", "dfs"));
+            let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
+            let payload = decoder
+                .next_group(&refs)
+                .map_err(|_| self.group_read_error(meta, g))?;
             report.stripes += 1;
             report.bytes_out += payload.len() as u64;
             out.extend_from_slice(&payload);
@@ -909,109 +828,10 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         Ok(out)
     }
 
-    /// [`Dfs::get`] with bounded retry across transient outages.
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with
-    /// `ReadOptions::full().with_retries(n)` — the returned
-    /// [`ReadOutcome::stats`] carries what this tuple's second element
-    /// reported, and more.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dfs::get`]; [`DfsError::Unavailable`] surfaces only once
-    /// the retry budget is exhausted.
-    pub fn get_with_retry(&mut self, name: &str) -> Result<(Vec<u8>, usize), DfsError> {
-        let opts = ReadOptions::full().with_retries(self.retry_limit);
-        self.read_loop(
-            name,
-            opts,
-            "dfs.get_with_retry",
-            "get_with_retry",
-            "dfs.op.get_with_retry_us",
-            |dfs, name, _opts, report, degraded| dfs.get_inner(name, report, degraded),
-        )
-        .map(|o| (o.bytes, o.stats.attempts))
-    }
-
-    /// The read core: retry loop, accounting, read-triggered repair.
-    /// The span/kind/histogram names are parameters so the deprecated
-    /// shims keep their historical trace and metric names; `attempt`
-    /// supplies the single-attempt body (whole-file streaming decode or
-    /// the linear-code range path), letting the loop itself stay
-    /// available to every code family.
-    fn read_loop(
-        &mut self,
-        name: &str,
-        opts: ReadOptions,
-        span_name: &'static str,
-        kind: &'static str,
-        hist: &'static str,
-        attempt: impl Fn(
-            &Self,
-            &str,
-            &ReadOptions,
-            &mut op::OpReport,
-            &mut Vec<usize>,
-        ) -> Result<Vec<u8>, DfsError>,
-    ) -> Result<ReadOutcome, DfsError> {
-        let mut scope = OpScope::new(span_name, kind, name, hist);
-        let budget = opts.retries.unwrap_or(0);
-        let mut backoff = 1u64;
-        let mut attempts = 0usize;
-        let mut degraded = Vec::new();
-        loop {
-            attempts += 1;
-            degraded.clear();
-            match attempt(self, name, &opts, &mut scope.report, &mut degraded) {
-                Ok(bytes) => {
-                    // Read-triggered repair: groups this read had to
-                    // decode around are enqueued under this operation's
-                    // context, so the eventual rebuild traces as part
-                    // of the read that noticed the damage. Fail-fast
-                    // reads (no retry budget) stay read-only.
-                    let repairs_queued = if opts.retries.is_some() {
-                        self.enqueue_degraded(name, &degraded, scope.span.context())
-                    } else {
-                        0
-                    };
-                    scope.report.repair_triggers += repairs_queued as u64;
-                    let stats = ReadReport {
-                        attempts,
-                        retries: scope.report.retries as usize,
-                        stripes_read: scope.report.stripes as usize,
-                        bytes_read: scope.report.bytes_in as usize,
-                        degraded_reads: scope.report.degraded_reads as usize,
-                        repairs_queued,
-                    };
-                    scope.finish(true);
-                    return Ok(ReadOutcome { bytes, stats });
-                }
-                Err(e @ DfsError::Unavailable { .. }) => {
-                    if attempts > budget {
-                        scope.finish(false);
-                        return Err(e);
-                    }
-                    global().counter("dfs.faults.retries").inc();
-                    scope.report.retries += 1;
-                    let _wait = op::span("dfs.retry", "dfs");
-                    self.advance_to(self.clock + backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(e) => {
-                    scope.finish(false);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
     /// The error a failed group read should surface: transient-outage
     /// shortfalls are retryable, true erasures are data loss.
     fn group_read_error(&self, meta: &FileMeta, group: usize) -> DfsError {
-        let n = self.codec.code().num_blocks();
-        let away = (0..n).any(|b| matches!(self.block_state(meta, group, b), BlockState::Away));
-        if away {
+        if self.group_states(meta, group).contains(&BlockState::Away) {
             DfsError::Unavailable {
                 name: meta.name.clone(),
                 group,
@@ -1030,7 +850,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// Store-level failures count as erasures, never as errors: routing
     /// reads around a dead daemon is exactly the degraded-read path.
     fn group_availability(&self, meta: &FileMeta, group: usize) -> Vec<Option<Vec<u8>>> {
-        let n = self.codec.code().num_blocks();
+        let n = self.code.num_blocks();
         (0..n)
             .map(|b| {
                 let server = meta.placements[group][b];
@@ -1052,6 +872,12 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                     }
                 }
             })
+            .collect()
+    }
+
+    fn group_states(&self, meta: &FileMeta, group: usize) -> Vec<BlockState> {
+        (0..self.code.num_blocks())
+            .map(|b| self.block_state(meta, group, b))
             .collect()
     }
 
@@ -1299,8 +1125,6 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// to decode). Already-queued groups are not duplicated. Returns
     /// the number of groups enqueued.
     pub fn scan_endangered(&mut self) -> usize {
-        let n = self.codec.code().num_blocks();
-        let k = self.codec.code().num_data_blocks() as i64;
         let metas: Vec<FileMeta> = self.files.values().cloned().collect();
         let mut added = 0;
         for meta in &metas {
@@ -1308,8 +1132,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                 if self.queue.contains(meta.id, g) {
                     continue;
                 }
-                let states: Vec<BlockState> =
-                    (0..n).map(|b| self.block_state(meta, g, b)).collect();
+                let states = self.group_states(meta, g);
                 if !states.contains(&BlockState::Lost) {
                     continue;
                 }
@@ -1327,14 +1150,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                         global().counter("dfs.faults.corruptions_detected").inc();
                     }
                 }
-                let survivors = states.iter().filter(|&&s| s == BlockState::Present).count() as i64;
-                if self
-                    .queue
-                    .push(meta.id, &meta.name, g, survivors - k, 0, op::current())
-                {
-                    global().counter("dfs.repair_queue.enqueued").inc();
-                    added += 1;
-                }
+                added += usize::from(self.enqueue_group(meta, g, &states, op::current()));
             }
         }
         global()
@@ -1358,28 +1174,36 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let Some(meta) = self.files.get(name).cloned() else {
             return 0;
         };
-        let n = self.codec.code().num_blocks();
-        let k = self.codec.code().num_data_blocks() as i64;
         let mut added = 0;
         for &g in groups {
-            if self.queue.contains(meta.id, g) {
-                continue;
-            }
-            let survivors = (0..n)
-                .filter(|&b| self.block_state(&meta, g, b) == BlockState::Present)
-                .count() as i64;
-            if self
-                .queue
-                .push(meta.id, &meta.name, g, survivors - k, 0, origin)
-            {
-                global().counter("dfs.repair_queue.enqueued").inc();
-                added += 1;
+            if !self.queue.contains(meta.id, g) {
+                let states = self.group_states(&meta, g);
+                added += usize::from(self.enqueue_group(&meta, g, &states, origin));
             }
         }
-        if added > 0 {
-            global()
-                .gauge("dfs.repair_queue.depth")
-                .set(self.queue.len() as i64);
+        global()
+            .gauge("dfs.repair_queue.depth")
+            .set(self.queue.len() as i64);
+        added
+    }
+
+    /// Pushes one group onto the repair queue, keyed by its survival
+    /// margin (present blocks minus the `k` a decode needs). Returns
+    /// whether it was newly enqueued.
+    fn enqueue_group(
+        &mut self,
+        meta: &FileMeta,
+        group: usize,
+        states: &[BlockState],
+        origin: OpContext,
+    ) -> bool {
+        let survivors = states.iter().filter(|&&s| s == BlockState::Present).count() as i64;
+        let margin = survivors - self.code.num_data_blocks() as i64;
+        let added = self
+            .queue
+            .push(meta.id, &meta.name, group, margin, 0, origin);
+        if added {
+            global().counter("dfs.repair_queue.enqueued").inc();
         }
         added
     }
@@ -1457,10 +1281,8 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         group: usize,
         summary: &mut RepairSummary,
     ) -> Result<RepairGroupOutcome, DfsError> {
-        let code_blocks = self.codec.code().num_blocks();
-        let states: Vec<BlockState> = (0..code_blocks)
-            .map(|b| self.block_state(meta, group, b))
-            .collect();
+        let code_blocks = self.code.num_blocks();
+        let states = self.group_states(meta, group);
         let lost: Vec<usize> = (0..code_blocks)
             .filter(|&b| states[b] == BlockState::Lost)
             .collect();
@@ -1492,7 +1314,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let mut decoded_group: Option<Vec<Vec<u8>>> = None;
         for (i, &b) in lost.iter().enumerate() {
             let replacement = candidates[i];
-            let plan = self.codec.code().repair_plan(b)?;
+            let plan = self.code.repair_plan(b)?;
             let plan_ok = plan
                 .sources()
                 .iter()
@@ -1523,7 +1345,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                     summary.repaired_locally += 1;
                     let sources: Vec<(usize, &[u8])> =
                         fetched.iter().map(|(s, d)| (*s, d.as_slice())).collect();
-                    Some(self.codec.code().reconstruct(b, &sources)?)
+                    Some(self.code.reconstruct(b, &sources)?)
                 }
             } else {
                 None
@@ -1535,12 +1357,11 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                         let avail = self.group_availability(meta, group);
                         let refs: Vec<Option<&[u8]>> = avail.iter().map(|a| a.as_deref()).collect();
                         let readable = refs.iter().filter(|a| a.is_some()).count();
-                        match self.codec.code().decode(&refs) {
+                        match self.code.decode(&refs) {
                             Ok(message) => {
-                                summary.bytes_read += readable
-                                    .min(self.codec.code().num_data_blocks())
-                                    * self.codec.code().block_len();
-                                decoded_group = Some(self.codec.code().encode(&message)?);
+                                summary.bytes_read += readable.min(self.code.num_data_blocks())
+                                    * self.code.block_len();
+                                decoded_group = Some(self.code.encode(&message)?);
                             }
                             Err(_) if away => {
                                 // Not enough *present* blocks, but some are
@@ -1600,7 +1421,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                             GroupHealth::Healthy
                         } else {
                             let mask: Vec<bool> = avail.iter().map(Option::is_some).collect();
-                            if self.codec.code().can_decode(&mask) {
+                            if self.code.can_decode(&mask) {
                                 GroupHealth::Degraded { lost }
                             } else {
                                 GroupHealth::Unrecoverable { lost }
@@ -1708,12 +1529,11 @@ where
     C: ErasureCode + AsLinearCode,
     S: BlockStore,
 {
-    /// The unified read entry point: whole-file or range reads,
+    /// The configurable read entry point: whole-file or range reads,
     /// optional retry across transient outage windows, one
-    /// [`ReadOutcome`] shape back — this replaces the historical
-    /// `get` / `get_with_retry` / `read_range` / `read_range_stats` /
-    /// `read_range_with_retry` method family, whose shims now route
-    /// here.
+    /// [`ReadOutcome`] shape back. Range reads require the code to
+    /// expose its [`LinearCode`](galloper_erasure::LinearCode), whose
+    /// `read_range` touches only the stripes the range needs.
     ///
     /// Reads that carry a retry budget also enqueue background repairs
     /// for every group they had to decode around (read-triggered
@@ -1726,20 +1546,63 @@ where
     /// [`DfsError::DataLoss`], or [`DfsError::Unavailable`] once any
     /// retry budget is exhausted.
     pub fn read(&mut self, name: &str, opts: ReadOptions) -> Result<ReadOutcome, DfsError> {
-        self.read_loop(
-            name,
-            opts,
-            "dfs.read",
-            "read",
-            "dfs.op.read_us",
-            Self::read_once,
-        )
+        let mut scope = OpScope::new("dfs.read", "read", name, "dfs.op.read_us");
+        let res = self.read_retrying(name, opts, &mut scope);
+        scope.finish(res.is_ok());
+        res
     }
 
-    /// One read attempt: whole-file reads stream through the group
-    /// decoder; everything else goes through the linear-code range
-    /// path. Both collect the groups that needed a degraded decode
-    /// into `degraded`.
+    /// The body of [`Dfs::read`]: the retry loop around
+    /// [`Dfs::read_once`], then read-triggered repair and the stats.
+    fn read_retrying(
+        &mut self,
+        name: &str,
+        opts: ReadOptions,
+        scope: &mut OpScope,
+    ) -> Result<ReadOutcome, DfsError> {
+        let budget = opts.retries.unwrap_or(0);
+        let mut backoff = 1u64;
+        let mut attempts = 0usize;
+        let mut degraded = Vec::new();
+        let bytes = loop {
+            attempts += 1;
+            degraded.clear();
+            match self.read_once(name, &opts, &mut scope.report, &mut degraded) {
+                Err(DfsError::Unavailable { .. }) if attempts <= budget => {
+                    global().counter("dfs.faults.retries").inc();
+                    scope.report.retries += 1;
+                    let _wait = op::span("dfs.retry", "dfs");
+                    self.advance_to(self.clock + backoff);
+                    backoff = backoff.saturating_mul(2);
+                }
+                res => break res?,
+            }
+        };
+        // Read-triggered repair: groups this read had to decode around
+        // are enqueued under this operation's context, so the eventual
+        // rebuild traces as part of the read that noticed the damage.
+        // Fail-fast reads (no retry budget) stay read-only.
+        let repairs_queued = if opts.retries.is_some() {
+            self.enqueue_degraded(name, &degraded, scope.span.context())
+        } else {
+            0
+        };
+        scope.report.repair_triggers += repairs_queued as u64;
+        let stats = ReadReport {
+            attempts,
+            retries: scope.report.retries as usize,
+            stripes_read: scope.report.stripes as usize,
+            bytes_read: scope.report.bytes_in as usize,
+            degraded_reads: scope.report.degraded_reads as usize,
+            repairs_queued,
+        };
+        Ok(ReadOutcome { bytes, stats })
+    }
+
+    /// One read attempt: whole-file reads go through the group decode
+    /// loop, everything else through the linear-code range path. Both
+    /// collect the groups that needed a degraded decode into
+    /// `degraded`.
     fn read_once(
         &self,
         name: &str,
@@ -1747,163 +1610,68 @@ where
         report: &mut op::OpReport,
         degraded: &mut Vec<usize>,
     ) -> Result<Vec<u8>, DfsError> {
+        let meta = self.meta(name)?;
         match opts.len {
-            None if opts.offset == 0 => self.get_inner(name, report, degraded),
-            _ => {
-                let object_len = self
-                    .files
-                    .get(name)
-                    .ok_or_else(|| DfsError::NotFound(name.to_string()))?
-                    .manifest
-                    .object_len;
-                let len = match opts.len {
-                    Some(len) => len,
-                    None => object_len
-                        .checked_sub(opts.offset)
-                        .ok_or(DfsError::OutOfRange {
-                            end: opts.offset,
-                            len: object_len,
-                        })?,
-                };
-                self.read_range_impl(name, opts.offset, len, report, degraded)
-                    .map(|(bytes, _)| bytes)
+            None if opts.offset == 0 => {
+                let all = 0..meta.manifest.num_groups;
+                self.decode_groups(meta, all, report, degraded)
             }
+            len => self.decode_range(meta, opts.offset, len, report, degraded),
         }
     }
 
-    /// Degraded-aware range read of `len` bytes at `offset`, with byte
-    /// accounting (requires the code to expose its
-    /// [`LinearCode`](galloper_erasure::LinearCode)).
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with [`ReadOptions::range`]. The
-    /// returned [`ReadStats`] sum the per-group reads; `bytes_read`
-    /// always equals `stripes_read * stripe_size()`.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::NotFound`], [`DfsError::OutOfRange`],
-    /// [`DfsError::DataLoss`], or [`DfsError::Unavailable`] (see
-    /// [`Dfs::get`]).
-    pub fn read_range_stats(
+    /// The range arm of [`Dfs::read_once`]: `len` bytes at `offset`
+    /// (`None` = through the end of the file), fetched group by group
+    /// through [`LinearCode::read_range`](galloper_erasure::LinearCode),
+    /// which reads only the stripes each sub-range needs.
+    fn decode_range(
         &self,
-        name: &str,
+        meta: &FileMeta,
         offset: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, ReadStats), DfsError> {
-        let mut scope = OpScope::new("dfs.read_range", "read_range", name, "dfs.op.read_range_us");
-        let mut degraded = Vec::new();
-        let res = self.read_range_impl(name, offset, len, &mut scope.report, &mut degraded);
-        scope.finish(res.is_ok());
-        res
-    }
-
-    fn read_range_impl(
-        &self,
-        name: &str,
-        offset: usize,
-        len: usize,
+        len: Option<usize>,
         report: &mut op::OpReport,
         degraded: &mut Vec<usize>,
-    ) -> Result<(Vec<u8>, ReadStats), DfsError> {
-        let meta = self
-            .files
-            .get(name)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        // Mirror of the erasure-level guard: `offset + len` must not
-        // wrap around `usize` and sneak past the length check.
-        let end = offset.checked_add(len).ok_or(DfsError::OutOfRange {
-            end: usize::MAX,
-            len: meta.manifest.object_len,
-        })?;
-        if end > meta.manifest.object_len {
+    ) -> Result<Vec<u8>, DfsError> {
+        let object_len = meta.manifest.object_len;
+        // Saturating, so a wrapping `offset + len` cannot sneak past
+        // the length check (mirror of the erasure-level guard).
+        let end = match len {
+            Some(len) => offset.saturating_add(len),
+            None => object_len.max(offset),
+        };
+        if end > object_len {
             return Err(DfsError::OutOfRange {
                 end,
-                len: meta.manifest.object_len,
+                len: object_len,
             });
         }
-        let msg = self.codec.code().message_len();
-        let mut out = Vec::with_capacity(len);
-        let mut stats = ReadStats {
-            stripes_read: 0,
-            bytes_read: 0,
-            degraded: false,
-            full_decode: false,
-        };
+        let msg = self.code.message_len();
+        let mut out = Vec::with_capacity(end - offset);
         let mut pos = offset;
-        while out.len() < len {
-            let group = pos / msg;
-            let within = pos % msg;
-            let take = (msg - within).min(len - out.len());
+        while pos < end {
+            let (group, within) = (pos / msg, pos % msg);
+            let take = (msg - within).min(end - pos);
             let avail = self.group_availability(meta, group);
             let refs: Vec<Option<&[u8]>> = avail.iter().map(|a| a.as_deref()).collect();
-            let (bytes, group_stats) = self
-                .codec
-                .code()
+            let (bytes, stats) = self
+                .code
                 .as_linear_code()
                 .read_range(within, take, &refs)
                 .map_err(|_| self.group_read_error(meta, group))?;
-            out.extend_from_slice(&bytes);
             global()
                 .counter("dfs.bytes_read")
-                .add(group_stats.bytes_read as u64);
-            report.bytes_in += group_stats.bytes_read as u64;
-            report.stripes += group_stats.stripes_read as u64;
+                .add(stats.bytes_read as u64);
+            report.bytes_in += stats.bytes_read as u64;
+            report.stripes += stats.stripes_read as u64;
             report.bytes_out += bytes.len() as u64;
-            if group_stats.degraded {
+            if stats.degraded {
                 global().counter("dfs.degraded_reads").inc();
                 report.degraded_reads += 1;
                 degraded.push(group);
             }
-            stats.stripes_read += group_stats.stripes_read;
-            stats.bytes_read += group_stats.bytes_read;
-            stats.degraded |= group_stats.degraded;
-            stats.full_decode |= group_stats.full_decode;
+            out.extend_from_slice(&bytes);
             pos += take;
         }
-        Ok((out, stats))
-    }
-
-    /// [`Dfs::read_range_stats`] without the accounting.
-    ///
-    /// Thin shim, kept for one release: new code should call
-    /// [`Dfs::read`] with [`ReadOptions::range`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Dfs::read_range_stats`].
-    pub fn read_range(&self, name: &str, offset: usize, len: usize) -> Result<Vec<u8>, DfsError> {
-        self.read_range_stats(name, offset, len)
-            .map(|(bytes, _)| bytes)
-    }
-
-    /// [`Dfs::read_range`] with the same bounded retry-with-backoff as
-    /// [`Dfs::get_with_retry`]. Returns the bytes and the number of
-    /// attempts made.
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with
-    /// `ReadOptions::range(offset, len).with_retries(n)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dfs::read_range`]; [`DfsError::Unavailable`] surfaces only
-    /// once the retry budget is exhausted.
-    pub fn read_range_with_retry(
-        &mut self,
-        name: &str,
-        offset: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, usize), DfsError> {
-        let opts = ReadOptions::range(offset, len).with_retries(self.retry_limit);
-        self.read_loop(
-            name,
-            opts,
-            "dfs.read_range_with_retry",
-            "read_range_with_retry",
-            "dfs.op.read_range_with_retry_us",
-            Self::read_once,
-        )
-        .map(|o| (o.bytes, o.stats.attempts))
+        Ok(out)
     }
 }

@@ -5,11 +5,19 @@
 //! [`Dfs`] keeps files as coding groups of blocks spread over a set of
 //! servers, and implements the full storage lifecycle:
 //!
-//! * [`Dfs::put`] — encode and place (round-robin rotated per group so
-//!   load balances across servers);
-//! * [`Dfs::read`] — the unified degraded-aware read entry point
-//!   ([`ReadOptions`] in, [`ReadOutcome`] out), with [`Dfs::get`] /
-//!   [`Dfs::read_range`] kept as thin compatibility shims;
+//! * put — one path: [`Dfs::put_begin`] opens an upload,
+//!   [`Dfs::put_append`] encodes, places (emptiest server first,
+//!   rotated per group) and stores every coding group that completes,
+//!   and [`Dfs::put_commit`] pads the tail and publishes the file
+//!   ([`Dfs::put_abort`] reclaims it instead). [`Dfs::put`] is that
+//!   same sequence for bytes already in hand, aborting on any error;
+//! * read — one degraded-aware decode loop over a window of coding
+//!   groups, reached three ways: [`Dfs::get`] (whole file, fail-fast),
+//!   [`Dfs::read_groups`] (one window, for chunked transfers) and
+//!   [`Dfs::read`] ([`ReadOptions`] in, [`ReadOutcome`] out), which
+//!   adds retry-with-backoff across transient outage windows,
+//!   read-triggered repair, and range reads through
+//!   [`LinearCode::read_range`](galloper_erasure::LinearCode);
 //! * [`Dfs::fail_server`] — failure injection (blocks on the server are
 //!   lost);
 //! * [`Dfs::repair`] — rebuild every lost block, preferring each block's
@@ -28,8 +36,8 @@
 //! * per-block CRC-32 checksums ([`crc32`]) stamped at write time and
 //!   verified on every read, so corruption surfaces as an erasure and
 //!   is routed around, never returned;
-//! * [`Dfs::get_with_retry`] / [`Dfs::read_range_with_retry`] — bounded
-//!   retry-with-backoff across transient outage windows;
+//! * [`ReadOptions::with_retries`] — bounded retry-with-backoff across
+//!   transient outage windows;
 //! * [`Dfs::scan_endangered`] / [`Dfs::drain_repairs`] — a background
 //!   repair queue that rebuilds the most-endangered groups (fewest
 //!   surviving blocks above the decode threshold) first.
@@ -37,15 +45,19 @@
 //! Everything is observable through the global `galloper-obs` registry:
 //! the `dfs.faults.*` and `dfs.repair_queue.*` counters, byte-flow
 //! counters (`dfs.bytes_read`, `dfs.bytes_written`,
-//! `dfs.degraded_reads`), and per-op latency histograms
-//! (`dfs.op.*_us`, `dfs.store.block_bytes`). Every top-level entry
-//! point also opens a request-scoped span (`dfs.put`, `dfs.get`,
-//! `dfs.get_with_retry`, ...), so with tracing on, a degraded read —
-//! including its retries, degraded decodes, and the repairs it
-//! triggers — renders as one connected tree in the Chrome trace; and
-//! with `GALLOPER_OP_LOG` set, each top-level operation emits a
-//! structured JSON report line (bytes, stripes, retries, degraded
-//! reads, repair triggers, wall/queue/compute time).
+//! `dfs.degraded_reads`), `dfs.store.block_bytes`, and one latency
+//! histogram per top-level entry point: `dfs.op.put_us`,
+//! `dfs.op.get_us`, `dfs.op.read_us`, `dfs.op.repair_us`,
+//! `dfs.op.fsck_us`. Each of those entry points also opens a
+//! request-scoped span (`dfs.put`, `dfs.get`, `dfs.read`,
+//! `dfs.repair`, `dfs.fsck`) with `dfs.retry`, `dfs.degraded_decode`
+//! and `dfs.repair_group` as child spans, so with tracing on, a
+//! degraded read — including its retries, degraded decodes, and the
+//! repairs it triggers — renders as one connected tree in the Chrome
+//! trace; and with `GALLOPER_OP_LOG` set, each top-level operation
+//! emits a structured JSON report line (bytes, stripes, retries,
+//! degraded reads, repair triggers, wall/queue/compute time). These
+//! names are the whole contract; `tests/op_trace.rs` pins them.
 //!
 //! The type is generic over the code, so Reed–Solomon, Pyramid, Carousel,
 //! and Galloper files can live in DFS instances side by side and their

@@ -4,7 +4,9 @@
 //! across every code family lives in the workspace-level `tests/chaos.rs`.
 
 use galloper::Galloper;
-use galloper_dfs::{AsLinearCode, Dfs, DfsError, ErasureCode, Fault, FaultPlan, ServerHealth};
+use galloper_dfs::{
+    AsLinearCode, Dfs, DfsError, ErasureCode, Fault, FaultPlan, ReadOptions, ServerHealth,
+};
 use galloper_rs::ReedSolomon;
 use galloper_testkit::TestRng;
 
@@ -17,7 +19,13 @@ fn corruption_is_detected_and_repaired() {
     assert!(dfs.corrupt_stored("f", 0, 2), "block exists to corrupt");
     // The flipped byte never surfaces: the CRC check routes around it.
     assert_eq!(dfs.get("f").unwrap(), data);
-    assert_eq!(dfs.read_range("f", 100, 5_000).unwrap(), data[100..5_100]);
+    let part = dfs.read("f", ReadOptions::range(100, 5_000)).unwrap();
+    assert_eq!(part.bytes, data[100..5_100]);
+    assert!(part.stats.degraded_reads >= 1, "group 0 decoded around");
+    assert_eq!(
+        part.stats.repairs_queued, 0,
+        "fail-fast reads stay read-only"
+    );
     // fsck sees the corrupt block as lost, not healthy.
     assert!(!dfs.fsck().all_healthy());
 
@@ -73,9 +81,10 @@ fn outage_blocks_reads_until_retry_waits_it_out() {
     // Unreadable right now — but flagged retryable, not data loss.
     assert!(matches!(dfs.get("f"), Err(DfsError::Unavailable { .. })));
 
-    let (bytes, attempts) = dfs.get_with_retry("f").unwrap();
-    assert_eq!(bytes, data);
-    assert!(attempts > 1, "first attempt was blocked");
+    let patient = ReadOptions::full().with_retries(dfs.retry_limit());
+    let whole = dfs.read("f", patient).unwrap();
+    assert_eq!(whole.bytes, data);
+    assert!(whole.stats.attempts > 1, "first attempt was blocked");
     assert!(
         dfs.clock() >= 9,
         "backoff advanced the clock past the window"
@@ -88,12 +97,13 @@ fn outage_blocks_reads_until_retry_waits_it_out() {
     dfs.begin_outage(hosting[0], 4);
     dfs.begin_outage(hosting[1], 4);
     assert!(matches!(
-        dfs.read_range("f", 10, 100),
+        dfs.read("f", ReadOptions::range(10, 100)),
         Err(DfsError::Unavailable { .. })
     ));
-    let (bytes, attempts) = dfs.read_range_with_retry("f", 10, 100).unwrap();
-    assert_eq!(bytes, data[10..110]);
-    assert!(attempts > 1);
+    let patient = ReadOptions::range(10, 100).with_retries(dfs.retry_limit());
+    let part = dfs.read("f", patient).unwrap();
+    assert_eq!(part.bytes, data[10..110]);
+    assert!(part.stats.attempts > 1);
 }
 
 #[test]
@@ -107,7 +117,7 @@ fn retry_budget_is_bounded() {
     dfs.begin_outage(hosting[0], 1_000);
     dfs.begin_outage(hosting[1], 1_000);
     assert!(matches!(
-        dfs.get_with_retry("f"),
+        dfs.read("f", ReadOptions::full().with_retries(dfs.retry_limit())),
         Err(DfsError::Unavailable { .. })
     ));
     assert!(dfs.clock() <= 3, "clock advanced only by the budget");
@@ -232,11 +242,11 @@ fn read_range_overflow_is_out_of_range() {
     let mut dfs = Dfs::new(10, Galloper::uniform(4, 2, 1, 64).unwrap());
     dfs.put("f", &[1u8; 5_000]).unwrap();
     assert!(matches!(
-        dfs.read_range("f", usize::MAX, 2),
+        dfs.read("f", ReadOptions::range(usize::MAX, 2)),
         Err(DfsError::OutOfRange { .. })
     ));
     assert!(matches!(
-        dfs.read_range("f", 2, usize::MAX),
+        dfs.read("f", ReadOptions::range(2, usize::MAX)),
         Err(DfsError::OutOfRange { .. })
     ));
 }

@@ -1,8 +1,14 @@
 //! Lifecycle tests for the erasure-coded DFS: put/get under failures,
 //! repair accounting across code families, and fsck reporting.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use galloper::Galloper;
-use galloper_dfs::{Dfs, DfsError, GroupHealth};
+use galloper_dfs::{
+    BlockGet, BlockKey, BlockStore, Dfs, DfsError, ErasureCode, GroupHealth, MemStore, ReadOptions,
+    StoreError, StoreHealth,
+};
 use galloper_pyramid::Pyramid;
 use galloper_rs::ReedSolomon;
 use galloper_testkit::TestRng;
@@ -163,13 +169,15 @@ fn range_reads_through_dfs() {
         (0, 30_000),
     ] {
         assert_eq!(
-            dfs.read_range("a", offset, len).unwrap(),
+            dfs.read("a", ReadOptions::range(offset, len))
+                .unwrap()
+                .bytes,
             &data[offset..offset + len],
             "{offset}+{len}"
         );
     }
     assert!(matches!(
-        dfs.read_range("a", 29_999, 2),
+        dfs.read("a", ReadOptions::range(29_999, 2)),
         Err(DfsError::OutOfRange { .. })
     ));
 }
@@ -205,21 +213,28 @@ fn revive_brings_back_capacity_not_data() {
     assert_eq!(dfs.get("a").unwrap(), data);
 }
 
+/// Every block on every server, in a canonical order: equal snapshots
+/// mean equal placements *and* equal stored bytes.
+fn stored_blocks<S: BlockStore>(dfs: &Dfs<Galloper, S>) -> Vec<(usize, BlockKey, Vec<u8>)> {
+    let mut all = Vec::new();
+    for server in 0..dfs.num_servers() {
+        let store = dfs.store(server);
+        for key in store.scan_blocks().unwrap() {
+            match store.get_block(key).unwrap() {
+                BlockGet::Ok(bytes) => all.push((server, key, bytes)),
+                other => panic!("server {server} {key}: {other:?}"),
+            }
+        }
+    }
+    all.sort();
+    all
+}
+
 #[test]
 fn chunked_put_matches_oneshot_and_hides_until_commit() {
-    let code = || Galloper::uniform(4, 2, 1, 512).unwrap();
-    // Ragged sizes around group boundaries, fed in awkward chunk sizes.
-    for (len, chunk) in [
-        (0usize, 1usize),
-        (1, 1),
-        (2047, 100),
-        (2048, 512),
-        (50_000, 7_001),
-    ] {
-        let data = random_data(len, len as u64);
-        let mut oneshot = Dfs::new(10, code());
-        oneshot.put("x", &data).unwrap();
-
+    let code = || Galloper::uniform(4, 2, 1, 4).unwrap();
+    let msg = code().message_len();
+    let staged = |pieces: &[&[u8]]| {
         let mut dfs = Dfs::new(10, code());
         dfs.put_begin("x").unwrap();
         // Open uploads are invisible to reads and block duplicate names.
@@ -232,32 +247,124 @@ fn chunked_put_matches_oneshot_and_hides_until_commit() {
             dfs.put_begin("x"),
             Err(DfsError::AlreadyExists(_))
         ));
-        for piece in data.chunks(chunk.max(1)) {
+        for piece in pieces {
             dfs.put_append("x", piece).unwrap();
         }
-        if data.is_empty() {
-            dfs.put_append("x", &data).unwrap();
-        }
         dfs.put_commit("x").unwrap();
-        assert_eq!(dfs.get("x").unwrap(), data, "len={len} chunk={chunk}");
-        let manifest = dfs.object_manifest("x").unwrap();
+        dfs
+    };
+    // Ragged sizes around group boundaries.
+    for len in [0, 1, msg - 1, msg, msg + 1, 3 * msg + 7] {
+        let data = random_data(len, len as u64);
+        let mut oneshot = Dfs::new(10, code());
+        oneshot.put("x", &data).unwrap();
+        let manifest = oneshot.object_manifest("x").unwrap();
         assert_eq!(manifest.object_len, len);
-        assert_eq!(
-            manifest.num_groups,
-            oneshot.object_manifest("x").unwrap().num_groups,
-            "len={len}"
-        );
-        // Windowed reads reassemble the object exactly.
-        let mut windowed = Vec::new();
-        let mut g = 0;
-        while g < manifest.num_groups {
-            let w = dfs.read_groups("x", g, 3).unwrap();
-            windowed.extend_from_slice(&w);
-            g += 3;
+        assert_eq!(manifest.num_groups, len.div_ceil(msg).max(1), "len={len}");
+        let reference = stored_blocks(&oneshot);
+
+        // One path, however the bytes arrive: every two-piece split,
+        // and awkward fixed chunk sizes, store exactly what `put` did.
+        for split in 0..=len {
+            let dfs = staged(&[&data[..split], &data[split..]]);
+            assert_eq!(dfs.object_manifest("x").unwrap(), manifest);
+            assert_eq!(stored_blocks(&dfs), reference, "len={len} split={split}");
         }
-        assert_eq!(windowed, data, "len={len}");
-        assert!(dfs.fsck().all_healthy());
+        for chunk in [1, 7, msg] {
+            let pieces: Vec<&[u8]> = data.chunks(chunk).collect();
+            let dfs = staged(&pieces);
+            assert_eq!(stored_blocks(&dfs), reference, "len={len} chunk={chunk}");
+        }
+
+        // One read loop, however it is reached — healthy, then with
+        // g + 1 = 2 servers gone.
+        for degraded in [false, true] {
+            if degraded {
+                oneshot.fail_server(0);
+                oneshot.fail_server(1);
+            }
+            assert_eq!(oneshot.get("x").unwrap(), data, "len={len} {degraded}");
+            let mut windowed = Vec::new();
+            for g in (0..manifest.num_groups).step_by(2) {
+                windowed.extend(oneshot.read_groups("x", g, 2).unwrap());
+            }
+            assert_eq!(windowed, data, "len={len} {degraded}");
+            let full = oneshot.read("x", ReadOptions::full()).unwrap();
+            assert_eq!(full.bytes, data, "len={len} {degraded}");
+            assert_eq!(full.stats.stripes_read, manifest.num_groups);
+            assert_eq!(full.stats.degraded_reads > 0, degraded, "len={len}");
+        }
     }
+}
+
+/// A [`MemStore`] whose cluster-wide `fail_at`-th `put_block` fails —
+/// a daemon dropping off mid-write.
+struct FlakyStore {
+    inner: MemStore,
+    puts: Rc<Cell<usize>>,
+    fail_at: usize,
+}
+
+impl BlockStore for FlakyStore {
+    fn put_block(&mut self, key: BlockKey, bytes: &[u8]) -> Result<(), StoreError> {
+        self.puts.set(self.puts.get() + 1);
+        if self.puts.get() == self.fail_at {
+            return Err(StoreError::Unreachable("injected".into()));
+        }
+        self.inner.put_block(key, bytes)
+    }
+    fn get_block(&self, key: BlockKey) -> Result<BlockGet, StoreError> {
+        self.inner.get_block(key)
+    }
+    fn delete_block(&mut self, key: BlockKey) -> Result<bool, StoreError> {
+        self.inner.delete_block(key)
+    }
+    fn scan_blocks(&self) -> Result<Vec<BlockKey>, StoreError> {
+        self.inner.scan_blocks()
+    }
+    fn contains_block(&self, key: BlockKey) -> bool {
+        self.inner.contains_block(key)
+    }
+    fn block_count(&self) -> usize {
+        self.inner.block_count()
+    }
+    fn wipe(&mut self) {
+        self.inner.wipe()
+    }
+    fn probe(&self) -> Result<StoreHealth, StoreError> {
+        self.inner.probe()
+    }
+}
+
+#[test]
+fn failed_put_leaves_no_blocks_and_frees_the_name() {
+    let code = Galloper::uniform(4, 2, 1, 4).unwrap();
+    let (n, msg) = (code.num_blocks(), code.message_len());
+    let data = random_data(3 * msg + 7, 3);
+    let puts = Rc::new(Cell::new(0));
+    let stores = (0..10)
+        .map(|_| FlakyStore {
+            inner: MemStore::new(),
+            puts: Rc::clone(&puts),
+            // Partway through group 2: groups 0 and 1 are fully stored.
+            fail_at: 2 * n + 3,
+        })
+        .collect();
+    let mut dfs = Dfs::with_stores(stores, code);
+
+    assert!(matches!(dfs.put("a", &data), Err(DfsError::Store(_))));
+    assert_eq!(puts.get(), 2 * n + 3, "the put stopped at the failure");
+    for server in 0..10 {
+        assert_eq!(dfs.blocks_on(server), 0, "server {server} kept blocks");
+    }
+    assert!(matches!(dfs.get("a"), Err(DfsError::NotFound(_))));
+
+    // The name is free, and the retry does not reuse the failed
+    // attempt's file id (its block keys).
+    dfs.put("a", &data).unwrap();
+    assert!(stored_blocks(&dfs).iter().all(|(_, key, _)| key.file == 1));
+    assert_eq!(dfs.get("a").unwrap(), data);
+    assert!(dfs.fsck().all_healthy());
 }
 
 #[test]

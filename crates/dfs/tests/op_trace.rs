@@ -12,7 +12,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use galloper::Galloper;
-use galloper_dfs::Dfs;
+use galloper_dfs::{Dfs, ReadOptions};
 use galloper_obs::{global, global_trace, json, op, TraceEvent};
 use galloper_testkit::TestRng;
 
@@ -94,8 +94,10 @@ fn degraded_chaos_get_is_one_connected_tree_and_report_matches_metrics() {
     let retries0 = global().counter("dfs.faults.retries").get();
     let degraded0 = global().counter("dfs.degraded_reads").get();
 
-    let (bytes, attempts) = dfs.get_with_retry("movie.bin").unwrap();
-    assert_eq!(bytes, data);
+    let patient = ReadOptions::full().with_retries(dfs.retry_limit());
+    let outcome = dfs.read("movie.bin", patient).unwrap();
+    assert_eq!(outcome.bytes, data);
+    let attempts = outcome.stats.attempts;
     assert!(attempts > 1, "the outage must force at least one retry");
 
     let reads_delta = global().counter("dfs.bytes_read").get() - reads0;
@@ -110,7 +112,7 @@ fn degraded_chaos_get_is_one_connected_tree_and_report_matches_metrics() {
     assert!(dfs.fsck().all_healthy());
 
     // --- OpReport vs. metric deltas -----------------------------------
-    let report = report_line(&log.contents(), "get_with_retry");
+    let report = report_line(&log.contents(), "read");
     assert_eq!(report.get("ok"), Some(&json::Json::Bool(true)));
     assert_eq!(report.get("key").unwrap().as_str(), Some("movie.bin"));
     assert_eq!(field(&report, "bytes_out") as usize, data.len());
@@ -128,7 +130,7 @@ fn degraded_chaos_get_is_one_connected_tree_and_report_matches_metrics() {
     let ours: Vec<TraceEvent> = events.into_iter().filter(|e| e.op == op_id).collect();
     let root = ours
         .iter()
-        .find(|e| e.name == "dfs.get_with_retry")
+        .find(|e| e.name == "dfs.read")
         .expect("root span recorded");
     assert_eq!(root.parent, 0, "the entry point starts the operation");
     for name in ["dfs.retry", "dfs.degraded_decode", "dfs.repair_group"] {
@@ -196,4 +198,44 @@ fn put_report_accounts_for_stored_bytes() {
     // registry snapshot uses.
     assert!(json::parse(&report.render()).is_ok());
     op::set_op_log(None);
+}
+
+#[test]
+fn every_entry_point_records_into_the_five_documented_histograms() {
+    let _guard = test_lock().lock().unwrap();
+    let mut dfs = Dfs::new(10, Galloper::uniform(4, 2, 1, 64).unwrap());
+    let data = TestRng::new(7).bytes(5_000);
+    dfs.put("one-shot", &data).unwrap();
+    dfs.put_begin("staged").unwrap();
+    dfs.put_append("staged", &data).unwrap();
+    dfs.put_commit("staged").unwrap();
+    dfs.fail_server(0);
+    dfs.get("one-shot").unwrap();
+    dfs.read_groups("staged", 0, 1).unwrap();
+    dfs.read("staged", ReadOptions::range(10, 100).with_retries(1))
+        .unwrap();
+    dfs.repair().unwrap();
+    dfs.drain_repairs(usize::MAX).unwrap();
+    assert!(dfs.fsck().all_healthy());
+
+    let snapshot = global().snapshot();
+    let Some(json::Json::Obj(histograms)) = snapshot.get("histograms") else {
+        panic!("no histograms in {}", snapshot.render());
+    };
+    let mut names: Vec<&str> = histograms
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| name.starts_with("dfs.op."))
+        .collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "dfs.op.fsck_us",
+            "dfs.op.get_us",
+            "dfs.op.put_us",
+            "dfs.op.read_us",
+            "dfs.op.repair_us"
+        ]
+    );
 }

@@ -12,7 +12,7 @@
 use galloper_suite::codes::{Carousel, ErasureCode, Galloper, Pyramid, ReedSolomon};
 use galloper_suite::dfs::{
     faults::{self, MAX_OUTAGE_TICKS},
-    AsLinearCode, Dfs, DfsError, Fault, FaultPlan, FaultPlanConfig,
+    AsLinearCode, Dfs, DfsError, Fault, FaultPlan, FaultPlanConfig, ReadOptions, ReadOutcome,
 };
 use galloper_testkit::TestRng;
 
@@ -84,16 +84,17 @@ where
         // Foreground traffic: whole-object and random range reads must
         // stay byte-exact through every fault the plan throws.
         for (name, data) in &files {
-            let (bytes, _attempts) = dfs
-                .get_with_retry(name)
+            let patient = ReadOptions::full().with_retries(dfs.retry_limit());
+            let whole = dfs
+                .read(name, patient)
                 .unwrap_or_else(|e| panic!("{family} t={t} {name}: {e}"));
-            assert_eq!(&bytes, data, "{family} t={t} {name}: get corrupted");
+            assert_eq!(&whole.bytes, data, "{family} t={t} {name}: get corrupted");
         }
         let (name, data) = &files[rng.usize_in(0, files.len())];
         let offset = rng.usize_in(0, data.len());
         let len = rng.usize_in(0, data.len() - offset + 1);
-        match dfs.read_range_stats(name, offset, len) {
-            Ok((bytes, stats)) => {
+        match dfs.read(name, ReadOptions::range(offset, len)) {
+            Ok(ReadOutcome { bytes, stats, .. }) => {
                 assert_eq!(
                     bytes,
                     &data[offset..offset + len],
@@ -140,7 +141,9 @@ where
     for (name, data) in &files {
         assert_eq!(&dfs.get(name).unwrap(), data, "{family} {name}: final get");
         assert_eq!(
-            dfs.read_range(name, 0, data.len()).unwrap(),
+            dfs.read(name, ReadOptions::range(0, data.len()))
+                .unwrap()
+                .bytes,
             *data,
             "{family} {name}: final range read"
         );
