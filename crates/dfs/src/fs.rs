@@ -141,18 +141,26 @@ impl ServerHealth {
     }
 }
 
-/// Where one block of a group stands right now.
+/// Why the group survey has no bytes for a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockState {
-    /// On an up server, checksum intact.
-    Present,
-    /// On a transiently unavailable server: unreadable now, but not
-    /// lost — it returns when the outage window ends.
+enum Gone {
+    /// An up server holds an entry that fails its checksum.
+    Corrupt,
+    /// The server answers (or is inside an outage window) and holds no
+    /// entry.
+    Missing,
+    /// An up server's store failed to answer at all.
+    StoreFailed,
+    /// An entry sits on a server inside an outage window: unreadable
+    /// now, but not lost — it returns when the window ends.
     Away,
-    /// Gone (crashed server, missing entry, or failed checksum): must
-    /// be rebuilt.
-    Lost,
+    /// The server crashed and took the block with it.
+    Down,
 }
+
+/// One block of a surveyed group: its checksum-verified bytes, or why
+/// there are none (see [`Dfs::survey_group`]).
+type Surveyed = Result<Vec<u8>, Gone>;
 
 /// What one `repair_group` pass accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,6 +385,10 @@ pub struct Dfs<C, S = MemStore> {
     slow: Vec<f64>,
     /// One block store per server.
     stores: Vec<S>,
+    /// Blocks this namespace holds on each server: what it put there
+    /// and has not deleted since. Placement balances on these, so
+    /// placing a group asks no store anything.
+    blocks_held: Vec<usize>,
     files: HashMap<String, FileMeta>,
     /// Chunked uploads in flight, by name (invisible to reads until
     /// committed).
@@ -412,7 +424,9 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// server per store. This is how a gateway runs the same coding,
     /// placement, and repair logic over remote daemons
     /// (`galloper-net`'s `RemoteStore`) or local directories
-    /// ([`DiskStore`](crate::DiskStore)).
+    /// ([`DiskStore`](crate::DiskStore)). Each store is scanned once,
+    /// here, to seed the per-server block counts placement balances on;
+    /// a store that cannot answer counts as empty.
     ///
     /// # Panics
     ///
@@ -423,11 +437,16 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             "need at least one server per block of a group"
         );
         let n = stores.len();
+        let blocks_held = stores
+            .iter()
+            .map(|s| s.scan_blocks().map_or(0, |keys| keys.len()))
+            .collect();
         Dfs {
             code,
             health: vec![ServerHealth::Up; n],
             slow: vec![1.0; n],
             stores,
+            blocks_held,
             files: HashMap::new(),
             open_puts: HashMap::new(),
             next_id: 0,
@@ -509,13 +528,15 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         self.retry_limit = retries;
     }
 
-    /// Total blocks currently stored on `server`.
+    /// Blocks this namespace holds on `server` — its own count (seeded
+    /// at construction, moved by every block it puts or deletes, zeroed
+    /// when the server fails), not a question put to the store.
     ///
     /// # Panics
     ///
     /// Panics if `server` is out of range.
     pub fn blocks_on(&self, server: usize) -> usize {
-        self.stores[server].block_count()
+        self.blocks_held[server]
     }
 
     /// Direct access to one server's block store (health probes,
@@ -640,6 +661,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             code,
             health,
             stores,
+            blocks_held,
             open_puts,
             ..
         } = self;
@@ -668,10 +690,11 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
             // Recorded before the first store, so an abort also reclaims
             // a group whose stores failed partway.
-            placements.push(place_group(health, stores, blocks.len(), id.0 + g)?);
+            placements.push(place_group(health, blocks_held, blocks.len(), id.0 + g)?);
             for (b, (block, &server)) in blocks.iter().zip(&placements[g]).enumerate() {
                 block_bytes_hist().record(block.len() as u64);
                 stores[server].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
+                blocks_held[server] += 1;
                 bytes_stored += block.len() as u64;
             }
             Ok(())
@@ -707,11 +730,20 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         };
         for (g, servers) in open.meta.placements.iter().enumerate() {
             for (b, &server) in servers.iter().enumerate() {
-                let _ =
-                    self.stores[server].delete_block(BlockKey::new(open.meta.id.0 as u64, g, b));
+                self.reclaim_block(server, BlockKey::new(open.meta.id.0 as u64, g, b));
             }
         }
         true
+    }
+
+    /// Deletes one block best-effort, taking it off the server's count
+    /// when the store confirms an entry went.
+    fn reclaim_block(&mut self, server: usize, key: BlockKey) {
+        if let Ok(true) = self.stores[server].delete_block(key) {
+            // Saturating: a put whose reply was lost stored a block the
+            // count never saw.
+            self.blocks_held[server] = self.blocks_held[server].saturating_sub(1);
+        }
     }
 
     /// The committed file's metadata (an upload still open is not
@@ -806,21 +838,21 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let window = groups.len().saturating_mul(self.code.message_len());
         let mut out = Vec::with_capacity(window.min(meta.manifest.object_len));
         for g in groups {
-            let blocks = self.group_availability(meta, g);
-            let present: u64 = blocks.iter().flatten().map(|b| b.len() as u64).sum();
+            let survey = self.survey_group(meta, g);
+            count_routed_around(&survey);
+            let present: u64 = survey.iter().flatten().map(|b| b.len() as u64).sum();
             global().counter("dfs.bytes_read").add(present);
             report.bytes_in += present;
-            let lost = blocks.iter().any(|b| b.is_none());
+            let lost = survey.iter().any(|b| b.is_err());
             if lost {
                 global().counter("dfs.degraded_reads").inc();
                 report.degraded_reads += 1;
                 degraded.push(g);
             }
             let _span = lost.then(|| op::span("dfs.degraded_decode", "dfs"));
-            let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
             let payload = decoder
-                .next_group(&refs)
-                .map_err(|_| self.group_read_error(meta, g))?;
+                .next_group(&readable(&survey))
+                .map_err(|_| group_read_error(meta, g, &survey))?;
             report.stripes += 1;
             report.bytes_out += payload.len() as u64;
             out.extend_from_slice(&payload);
@@ -828,79 +860,39 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         Ok(out)
     }
 
-    /// The error a failed group read should surface: transient-outage
-    /// shortfalls are retryable, true erasures are data loss.
-    fn group_read_error(&self, meta: &FileMeta, group: usize) -> DfsError {
-        if self.group_states(meta, group).contains(&BlockState::Away) {
-            DfsError::Unavailable {
-                name: meta.name.clone(),
-                group,
-            }
-        } else {
-            DfsError::DataLoss {
-                name: meta.name.clone(),
-                group,
-            }
-        }
-    }
-
-    /// What each block of the group currently reads as, through the
-    /// [`BlockStore`] boundary: `None` for anything that cannot be used
-    /// — down or unreachable server, missing entry, failed checksum.
-    /// Store-level failures count as erasures, never as errors: routing
-    /// reads around a dead daemon is exactly the degraded-read path.
-    fn group_availability(&self, meta: &FileMeta, group: usize) -> Vec<Option<Vec<u8>>> {
-        let n = self.code.num_blocks();
-        (0..n)
-            .map(|b| {
-                let server = meta.placements[group][b];
-                if !self.health[server].is_up() {
-                    return None;
+    /// The group survey: the one place the namespace looks at stored
+    /// blocks, and what every read, scan, fsck and repair decides from.
+    /// Per block of the group, the checksum-verified bytes or why there
+    /// are none. Store-level failures are reasons, never errors —
+    /// routing around a dead daemon is exactly the degraded-read path —
+    /// and the survey bumps no counter: what a finding means (a read
+    /// routing around it, a scan discovering it) is the caller's to say.
+    fn survey_group(&self, meta: &FileMeta, group: usize) -> Vec<Surveyed> {
+        let servers = meta.placements[group].iter().enumerate();
+        servers
+            .map(|(b, &server)| {
+                if self.health[server] == ServerHealth::Down {
+                    return Err(Gone::Down);
                 }
-                match self.stores[server].get_block(BlockKey::new(meta.id.0 as u64, group, b)) {
-                    Ok(BlockGet::Ok(bytes)) => Some(bytes),
-                    Ok(BlockGet::Corrupt) => {
-                        // Silent corruption caught by the checksum: the
-                        // block is treated as erased and routed around.
-                        global().counter("dfs.faults.corruptions_detected").inc();
-                        None
-                    }
-                    Ok(BlockGet::Missing) => None,
-                    Err(_) => {
-                        global().counter("dfs.faults.store_errors").inc();
-                        None
-                    }
+                let got = self.stores[server].get_block(BlockKey::new(meta.id.0 as u64, group, b));
+                if !self.health[server].is_up() {
+                    // Inside an outage window nothing can be read, so
+                    // the checksum goes unverified: an entry that exists
+                    // is optimistically Away — if it comes back corrupt,
+                    // the next survey says so.
+                    return Err(match got {
+                        Ok(BlockGet::Missing) | Err(_) => Gone::Missing,
+                        Ok(_) => Gone::Away,
+                    });
+                }
+                match got {
+                    Ok(BlockGet::Ok(bytes)) => Ok(bytes),
+                    Ok(BlockGet::Corrupt) => Err(Gone::Corrupt),
+                    Ok(BlockGet::Missing) => Err(Gone::Missing),
+                    Err(_) => Err(Gone::StoreFailed),
                 }
             })
             .collect()
-    }
-
-    fn group_states(&self, meta: &FileMeta, group: usize) -> Vec<BlockState> {
-        (0..self.code.num_blocks())
-            .map(|b| self.block_state(meta, group, b))
-            .collect()
-    }
-
-    fn block_state(&self, meta: &FileMeta, group: usize, block: usize) -> BlockState {
-        let server = meta.placements[group][block];
-        let key = BlockKey::new(meta.id.0 as u64, group, block);
-        match self.health[server] {
-            ServerHealth::Down => BlockState::Lost,
-            ServerHealth::Unavailable { .. } => {
-                // The store is unreachable, so the checksum cannot be
-                // verified either; optimistically Away — if the block
-                // comes back corrupt, the next read demotes it to Lost.
-                if self.stores[server].contains_block(key) {
-                    BlockState::Away
-                } else {
-                    BlockState::Lost
-                }
-            }
-            ServerHealth::Up => match self.stores[server].get_block(key) {
-                Ok(BlockGet::Ok(_)) => BlockState::Present,
-                _ => BlockState::Lost,
-            },
-        }
     }
 
     /// Marks a server failed; its blocks become unavailable (and are
@@ -916,6 +908,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         global().counter("dfs.faults.crashes").inc();
         self.health[server] = ServerHealth::Down;
         self.stores[server].wipe();
+        self.blocks_held[server] = 0;
     }
 
     /// Brings a failed server back as an empty machine (its old blocks
@@ -970,7 +963,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let n = self.health.len();
         for off in 0..n {
             let s = (server + off) % n;
-            if !self.health[s].is_up() || self.stores[s].block_count() == 0 {
+            if !self.health[s].is_up() {
                 continue;
             }
             let mut keys = match self.stores[s].scan_blocks() {
@@ -1132,25 +1125,18 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
                 if self.queue.contains(meta.id, g) {
                     continue;
                 }
-                let states = self.group_states(meta, g);
-                if !states.contains(&BlockState::Lost) {
+                let survey = self.survey_group(meta, g);
+                if !survey.iter().any(is_lost) {
                     continue;
                 }
-                // A Lost block whose server is up and still holds an
-                // entry was lost to a failed checksum, not a crash: the
-                // scan detected silent corruption. (Counted here, on
-                // first discovery, rather than in `block_state`, which
-                // re-runs every scan.)
-                for (b, state) in states.iter().enumerate() {
-                    let server = meta.placements[g][b];
-                    if *state == BlockState::Lost
-                        && self.health[server].is_up()
-                        && self.stores[server].contains_block(BlockKey::new(meta.id.0 as u64, g, b))
-                    {
-                        global().counter("dfs.faults.corruptions_detected").inc();
-                    }
-                }
-                added += usize::from(self.enqueue_group(meta, g, &states, op::current()));
+                // The scan detected silent corruption. Counted here, on
+                // first discovery: a group already queued is skipped
+                // above, so later scans do not count it again.
+                let corrupt = survey.iter().filter(|b| **b == Err(Gone::Corrupt));
+                global()
+                    .counter("dfs.faults.corruptions_detected")
+                    .add(corrupt.count() as u64);
+                added += usize::from(self.enqueue_group(meta, g, &survey, op::current()));
             }
         }
         global()
@@ -1177,8 +1163,8 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let mut added = 0;
         for &g in groups {
             if !self.queue.contains(meta.id, g) {
-                let states = self.group_states(&meta, g);
-                added += usize::from(self.enqueue_group(&meta, g, &states, origin));
+                let survey = self.survey_group(&meta, g);
+                added += usize::from(self.enqueue_group(&meta, g, &survey, origin));
             }
         }
         global()
@@ -1194,10 +1180,10 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         &mut self,
         meta: &FileMeta,
         group: usize,
-        states: &[BlockState],
+        survey: &[Surveyed],
         origin: OpContext,
     ) -> bool {
-        let survivors = states.iter().filter(|&&s| s == BlockState::Present).count() as i64;
+        let survivors = survey.iter().flatten().count() as i64;
         let margin = survivors - self.code.num_data_blocks() as i64;
         let added = self
             .queue
@@ -1281,11 +1267,8 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         group: usize,
         summary: &mut RepairSummary,
     ) -> Result<RepairGroupOutcome, DfsError> {
-        let code_blocks = self.code.num_blocks();
-        let states = self.group_states(meta, group);
-        let lost: Vec<usize> = (0..code_blocks)
-            .filter(|&b| states[b] == BlockState::Lost)
-            .collect();
+        let survey = self.survey_group(meta, group);
+        let lost: Vec<usize> = (0..survey.len()).filter(|&b| is_lost(&survey[b])).collect();
         if lost.is_empty() {
             return Ok(RepairGroupOutcome::Clean);
         }
@@ -1294,97 +1277,67 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let _span = op::current()
             .is_active()
             .then(|| op::span("dfs.repair_group", "dfs"));
-        let away = states.contains(&BlockState::Away);
 
         // Choose replacement servers: up, not already hosting a block
         // of this group, emptiest first.
-        let hosting: Vec<usize> = (0..code_blocks)
-            .filter(|&b| !lost.contains(&b))
+        let hosting: Vec<usize> = (0..survey.len())
+            .filter(|b| !lost.contains(b))
             .map(|b| meta.placements[group][b])
             .collect();
         let mut candidates: Vec<usize> = (0..self.health.len())
             .filter(|&s| self.health[s].is_up() && !hosting.contains(&s))
             .collect();
-        candidates.sort_by_key(|&s| self.stores[s].block_count());
+        candidates.sort_by_key(|&s| self.blocks_held[s]);
         if candidates.len() < lost.len() {
             return Err(DfsError::NotEnoughServers);
         }
 
-        // Decide recovery strategy per lost block.
+        // Rebuild each lost block from the bytes the survey already
+        // fetched: through its repair plan when every source is there,
+        // otherwise from one decode + re-encode of the whole group.
+        let blocks = readable(&survey);
         let mut decoded_group: Option<Vec<Vec<u8>>> = None;
-        for (i, &b) in lost.iter().enumerate() {
-            let replacement = candidates[i];
+        for (&b, &replacement) in lost.iter().zip(&candidates) {
             let plan = self.code.repair_plan(b)?;
-            let plan_ok = plan
+            let sources: Option<Vec<(usize, &[u8])>> = plan
                 .sources()
                 .iter()
-                .all(|&s| states[s] == BlockState::Present);
-            let rebuilt = if plan_ok {
-                let fetched: Vec<(usize, Vec<u8>)> = plan
-                    .sources()
-                    .iter()
-                    .filter_map(|&s| {
-                        let server = meta.placements[group][s];
-                        match self.stores[server].get_block(BlockKey::new(
-                            meta.id.0 as u64,
-                            group,
-                            s,
-                        )) {
-                            Ok(BlockGet::Ok(bytes)) => Some((s, bytes)),
-                            _ => None,
-                        }
-                    })
-                    .collect();
-                if fetched.len() < plan.sources().len() {
-                    // A source vanished between the state scan and the
-                    // fetch (a remote store raced or went away): fall
-                    // through to the full-decode path below.
-                    None
-                } else {
-                    summary.bytes_read += fetched.iter().map(|(_, d)| d.len()).sum::<usize>();
-                    summary.repaired_locally += 1;
-                    let sources: Vec<(usize, &[u8])> =
-                        fetched.iter().map(|(s, d)| (*s, d.as_slice())).collect();
-                    Some(self.code.reconstruct(b, &sources)?)
-                }
+                .map(|&s| blocks[s].map(|bytes| (s, bytes)))
+                .collect();
+            let rebuilt = if let Some(sources) = sources {
+                summary.bytes_read += sources.iter().map(|(_, d)| d.len()).sum::<usize>();
+                summary.repaired_locally += 1;
+                self.code.reconstruct(b, &sources)?
             } else {
-                None
-            };
-            let rebuilt = match rebuilt {
-                Some(bytes) => bytes,
-                None => {
-                    if decoded_group.is_none() {
-                        let avail = self.group_availability(meta, group);
-                        let refs: Vec<Option<&[u8]>> = avail.iter().map(|a| a.as_deref()).collect();
-                        let readable = refs.iter().filter(|a| a.is_some()).count();
-                        match self.code.decode(&refs) {
-                            Ok(message) => {
-                                summary.bytes_read += readable.min(self.code.num_data_blocks())
-                                    * self.code.block_len();
-                                decoded_group = Some(self.code.encode(&message)?);
-                            }
-                            Err(_) if away => {
-                                // Not enough *present* blocks, but some are
-                                // only transiently away: retry once the
-                                // outage window ends instead of declaring
-                                // data loss.
-                                return Ok(RepairGroupOutcome::Blocked);
-                            }
-                            Err(_) => {
-                                summary.unrecoverable_groups += 1;
-                                return Ok(RepairGroupOutcome::Unrecoverable);
-                            }
+                if decoded_group.is_none() {
+                    match self.code.decode(&blocks) {
+                        Ok(message) => {
+                            let read = blocks.iter().flatten().count();
+                            summary.bytes_read +=
+                                read.min(self.code.num_data_blocks()) * self.code.block_len();
+                            decoded_group = Some(self.code.encode(&message)?);
+                        }
+                        // Not enough *present* blocks, but some are only
+                        // transiently away: retry once the outage window
+                        // ends instead of declaring data loss.
+                        Err(_) if survey.contains(&Err(Gone::Away)) => {
+                            return Ok(RepairGroupOutcome::Blocked);
+                        }
+                        Err(_) => {
+                            summary.unrecoverable_groups += 1;
+                            return Ok(RepairGroupOutcome::Unrecoverable);
                         }
                     }
-                    summary.repaired_via_decode += 1;
-                    decoded_group.as_ref().expect("just decoded")[b].clone()
                 }
+                summary.repaired_via_decode += 1;
+                decoded_group.as_ref().expect("just decoded")[b].clone()
             };
             // A corrupted block leaves a stale entry on its old (up)
             // server; drop it so only the verified rebuild survives.
             let key = BlockKey::new(meta.id.0 as u64, group, b);
-            let _ = self.stores[meta.placements[group][b]].delete_block(key);
+            self.reclaim_block(meta.placements[group][b], key);
             self.stores[replacement].put_block(key, &rebuilt)?;
+            self.blocks_held[replacement] += 1;
             self.files
                 .get_mut(&meta.name)
                 .expect("file exists")
@@ -1415,12 +1368,12 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             .map(|meta| {
                 let groups = (0..meta.manifest.num_groups)
                     .map(|g| {
-                        let avail = self.group_availability(meta, g);
-                        let lost = avail.iter().filter(|a| a.is_none()).count();
+                        let survey = self.survey_group(meta, g);
+                        let lost = survey.iter().filter(|b| b.is_err()).count();
                         if lost == 0 {
                             GroupHealth::Healthy
                         } else {
-                            let mask: Vec<bool> = avail.iter().map(Option::is_some).collect();
+                            let mask: Vec<bool> = survey.iter().map(Result::is_ok).collect();
                             if self.code.can_decode(&mask) {
                                 GroupHealth::Degraded { lost }
                             } else {
@@ -1488,13 +1441,48 @@ fn block_bytes_hist() -> &'static Arc<Histogram> {
     HIST.get_or_init(|| global().histogram("dfs.store.block_bytes"))
 }
 
+/// Whether a surveyed block must be rebuilt: there are no bytes, and
+/// waiting out an outage window will not bring them back.
+fn is_lost(block: &Surveyed) -> bool {
+    matches!(block, Err(gone) if *gone != Gone::Away)
+}
+
+/// The survey as a decoder takes it: the bytes there are, `None` for
+/// every block there are none for.
+fn readable(survey: &[Surveyed]) -> Vec<Option<&[u8]>> {
+    survey.iter().map(|b| b.as_deref().ok()).collect()
+}
+
+/// Counts what a read routes around: blocks that failed their checksum
+/// and stores that failed to answer.
+fn count_routed_around(survey: &[Surveyed]) {
+    for block in survey {
+        match block {
+            Err(Gone::Corrupt) => global().counter("dfs.faults.corruptions_detected").inc(),
+            Err(Gone::StoreFailed) => global().counter("dfs.faults.store_errors").inc(),
+            _ => {}
+        }
+    }
+}
+
+/// The error a failed group read should surface: transient-outage
+/// shortfalls are retryable, true erasures are data loss.
+fn group_read_error(meta: &FileMeta, group: usize, survey: &[Surveyed]) -> DfsError {
+    let name = meta.name.clone();
+    if survey.contains(&Err(Gone::Away)) {
+        DfsError::Unavailable { name, group }
+    } else {
+        DfsError::DataLoss { name, group }
+    }
+}
+
 /// Chooses `num_blocks` distinct up servers, rotating with `salt` and
-/// preferring emptier servers for balance. A free function (not a
-/// method) so [`Dfs::put`]'s streaming sink can place groups while the
-/// encoder borrows the code.
-fn place_group<S: BlockStore>(
+/// preferring the servers `blocks_held` says are emptier. A free
+/// function (not a method) so [`Dfs::put`]'s streaming sink can place
+/// groups while the encoder borrows the code.
+fn place_group(
     health: &[ServerHealth],
-    stores: &[S],
+    blocks_held: &[usize],
     num_blocks: usize,
     salt: usize,
 ) -> Result<Vec<usize>, DfsError> {
@@ -1505,7 +1493,7 @@ fn place_group<S: BlockStore>(
     // Emptiest-first, tie-broken by a rotating offset for spread.
     live.sort_by_key(|&s| {
         (
-            stores[s].block_count(),
+            blocks_held[s],
             (s + health.len() - salt % health.len()) % health.len(),
         )
     });
@@ -1651,13 +1639,13 @@ where
         while pos < end {
             let (group, within) = (pos / msg, pos % msg);
             let take = (msg - within).min(end - pos);
-            let avail = self.group_availability(meta, group);
-            let refs: Vec<Option<&[u8]>> = avail.iter().map(|a| a.as_deref()).collect();
+            let survey = self.survey_group(meta, group);
+            count_routed_around(&survey);
             let (bytes, stats) = self
                 .code
                 .as_linear_code()
-                .read_range(within, take, &refs)
-                .map_err(|_| self.group_read_error(meta, group))?;
+                .read_range(within, take, &readable(&survey))
+                .map_err(|_| group_read_error(meta, group, &survey))?;
             global()
                 .counter("dfs.bytes_read")
                 .add(stats.bytes_read as u64);

@@ -6,8 +6,9 @@
 //! servers, and implements the full storage lifecycle:
 //!
 //! * put — one path: [`Dfs::put_begin`] opens an upload,
-//!   [`Dfs::put_append`] encodes, places (emptiest server first,
-//!   rotated per group) and stores every coding group that completes,
+//!   [`Dfs::put_append`] encodes, places (emptiest server first by the
+//!   namespace's own count, rotated per group) and stores every coding
+//!   group that completes,
 //!   and [`Dfs::put_commit`] pads the tail and publishes the file
 //!   ([`Dfs::put_abort`] reclaims it instead). [`Dfs::put`] is that
 //!   same sequence for bytes already in hand, aborting on any error;
@@ -70,6 +71,16 @@
 //! file under a root directory (what `galloper` storage daemons
 //! serve), and `galloper-net` adds a `RemoteStore` client so the same
 //! `Dfs` logic runs a networked cluster.
+//!
+//! The stores move bytes; the namespace keeps the books. [`Dfs`] made
+//! every placement, so it counts the blocks it holds on each server
+//! itself ([`Dfs::blocks_on`]: seeded from one scan per store at
+//! construction, moved by each block it puts or deletes, zeroed by
+//! [`Dfs::fail_server`]) and places from that count without asking a
+//! store anything. Everything it decides about a group — read, scan,
+//! fsck, repair — it decides from one survey of the group's blocks,
+//! one `get_block` each: a healthy put or get of `G` groups is exactly
+//! `G·n` store calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,12 @@
 //! The [`BlockStore`] trait: the storage boundary of the DFS.
 //!
-//! Historically [`Dfs`](crate::Dfs) owned its block storage directly as
-//! a vector of in-memory hash maps, which welded the coding and repair
-//! logic to one process. This module extracts that boundary into a
-//! trait with three implementations:
+//! A store moves bytes; it keeps no books for anyone else. What the
+//! namespace needs to know about its blocks — which server holds which,
+//! and how many each holds, for placement balance — [`Dfs`](crate::Dfs)
+//! records itself as it puts and deletes them. Three implementations:
 //!
-//! * [`MemStore`] — the deterministic in-memory test double the chaos
-//!   suite and fsck tests run against (what `Dfs` always used);
+//! * [`MemStore`] — the deterministic in-memory backend the chaos
+//!   suite and fsck tests run against;
 //! * [`DiskStore`] — one block per file under a root directory, with
 //!   the CRC stamped into a small header, used by `galloper daemon`;
 //! * `RemoteStore` (in `galloper-net`) — a TCP client speaking the
@@ -19,12 +19,19 @@
 //! * [`BlockStore::get_block`] re-verifies that CRC on every read and
 //!   reports a mismatch as [`BlockGet::Corrupt`] — never returning the
 //!   damaged bytes — so the DFS can route around silent corruption
-//!   exactly like a lost block;
+//!   exactly like a lost block. It is also the only way to ask whether
+//!   an entry exists: anything but [`BlockGet::Missing`] means one does;
+//! * [`BlockStore::delete_block`] reports whether an entry existed,
+//!   which is what lets the namespace keep its count exact;
+//! * [`BlockStore::scan_blocks`] lists every key held, intact or not
+//!   (a directory read on disk, one RPC remotely);
+//! * [`BlockStore::probe`] sizes the store for the stats plane
+//!   (`Request::Probe`, `galloper stat`). It costs a scan plus a `stat`
+//!   per block on disk, so nothing on the data path calls it;
+//! * [`BlockStore::wipe`] drops everything, as a machine loss does;
 //! * transport or I/O failures surface as [`StoreError`], which the
 //!   read path treats as an erasure (the parallelism-aware code's
-//!   whole point is tolerating exactly that);
-//! * [`BlockStore::probe`] is a cheap health/occupancy probe used for
-//!   placement balancing and liveness checks.
+//!   whole point is tolerating exactly that).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -121,8 +128,8 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// What a [`BlockStore::probe`] reports: occupancy for placement
-/// balancing, and implicitly liveness (an unreachable store errors).
+/// What a [`BlockStore::probe`] reports: occupancy for the stats
+/// plane, and implicitly liveness (an unreachable store errors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreHealth {
     /// Blocks currently held.
@@ -131,9 +138,9 @@ pub struct StoreHealth {
     pub bytes: u64,
 }
 
-/// Put/get/delete/scan of coded blocks plus a health probe — the
-/// storage boundary [`Dfs`](crate::Dfs) runs on. See the
-/// [module docs](self) for the contract.
+/// Put/get/delete/scan/probe/wipe of coded blocks — the storage
+/// boundary [`Dfs`](crate::Dfs) runs on. See the [module docs](self)
+/// for the contract.
 pub trait BlockStore {
     /// Stores (or overwrites) one block, recording its CRC-32.
     fn put_block(&mut self, key: BlockKey, bytes: &[u8]) -> Result<(), StoreError>;
@@ -148,19 +155,11 @@ pub trait BlockStore {
     /// order.
     fn scan_blocks(&self) -> Result<Vec<BlockKey>, StoreError>;
 
-    /// Whether an entry exists for `key` (even if its checksum fails —
-    /// a corrupt entry still *exists*; the distinction feeds the
-    /// repair scanner's corruption accounting).
-    fn contains_block(&self, key: BlockKey) -> bool;
-
-    /// Blocks currently held; best-effort for remote stores (used only
-    /// to balance placement, so staleness is harmless).
-    fn block_count(&self) -> usize;
-
     /// Drops every block — what a machine loss does to its disk.
     fn wipe(&mut self);
 
-    /// Health/occupancy probe. Errors double as a liveness signal.
+    /// Occupancy probe for the stats plane. Errors double as a
+    /// liveness signal.
     fn probe(&self) -> Result<StoreHealth, StoreError>;
 
     /// Fault injection: flips one payload byte of `key` *without*
@@ -180,9 +179,8 @@ struct StoredBlock {
     crc: u32,
 }
 
-/// The deterministic in-memory backend: what [`Dfs`](crate::Dfs) always
-/// ran on, now behind the trait. Supports byte-level fault injection,
-/// so the chaos suite drives it exactly as before.
+/// The deterministic in-memory backend. Supports byte-level fault
+/// injection, which is what the chaos suite drives.
 #[derive(Debug, Default)]
 pub struct MemStore {
     blocks: HashMap<BlockKey, StoredBlock>,
@@ -223,14 +221,6 @@ impl BlockStore for MemStore {
         Ok(self.blocks.keys().copied().collect())
     }
 
-    fn contains_block(&self, key: BlockKey) -> bool {
-        self.blocks.contains_key(&key)
-    }
-
-    fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     fn wipe(&mut self) {
         self.blocks.clear();
     }
@@ -268,8 +258,6 @@ const DISK_HEADER: usize = 8;
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
-    /// Cached so placement balancing does not re-scan the directory.
-    count: usize,
 }
 
 impl DiskStore {
@@ -277,14 +265,11 @@ impl DiskStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the directory cannot be created or
-    /// scanned.
+    /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(root: impl Into<PathBuf>) -> Result<DiskStore, StoreError> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        let mut store = DiskStore { root, count: 0 };
-        store.count = store.scan_blocks()?.len();
-        Ok(store)
+        Ok(DiskStore { root })
     }
 
     /// The root directory.
@@ -314,7 +299,6 @@ impl DiskStore {
 impl BlockStore for DiskStore {
     fn put_block(&mut self, key: BlockKey, bytes: &[u8]) -> Result<(), StoreError> {
         let path = self.path_of(key);
-        let existed = path.exists();
         let tmp = self.root.join(format!(".tmp-{key}"));
         {
             let mut f = fs::File::create(&tmp)?;
@@ -329,9 +313,6 @@ impl BlockStore for DiskStore {
             f.sync_data()?;
         }
         fs::rename(&tmp, &path)?;
-        if !existed {
-            self.count += 1;
-        }
         Ok(())
     }
 
@@ -358,10 +339,7 @@ impl BlockStore for DiskStore {
 
     fn delete_block(&mut self, key: BlockKey) -> Result<bool, StoreError> {
         match fs::remove_file(self.path_of(key)) {
-            Ok(()) => {
-                self.count = self.count.saturating_sub(1);
-                Ok(true)
-            }
+            Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e.into()),
         }
@@ -378,21 +356,12 @@ impl BlockStore for DiskStore {
         Ok(keys)
     }
 
-    fn contains_block(&self, key: BlockKey) -> bool {
-        self.path_of(key).exists()
-    }
-
-    fn block_count(&self) -> usize {
-        self.count
-    }
-
     fn wipe(&mut self) {
         if let Ok(keys) = self.scan_blocks() {
             for key in keys {
                 let _ = fs::remove_file(self.path_of(key));
             }
         }
-        self.count = 0;
     }
 
     fn probe(&self) -> Result<StoreHealth, StoreError> {
@@ -440,21 +409,24 @@ mod tests {
     fn roundtrip(store: &mut dyn BlockStore) {
         let key = BlockKey::new(1, 2, 3);
         assert_eq!(store.get_block(key).unwrap(), BlockGet::Missing);
-        assert!(!store.contains_block(key));
+        assert_eq!(store.scan_blocks().unwrap(), Vec::new());
         store.put_block(key, b"hello blocks").unwrap();
         assert_eq!(
             store.get_block(key).unwrap(),
             BlockGet::Ok(b"hello blocks".to_vec())
         );
-        assert!(store.contains_block(key));
-        assert_eq!(store.block_count(), 1);
         let health = store.probe().unwrap();
         assert_eq!(health.blocks, 1);
         assert_eq!(health.bytes, 12);
         assert_eq!(store.scan_blocks().unwrap(), vec![key]);
+        // Overwriting replaces the entry; it does not add one.
+        store.put_block(key, b"hello again").unwrap();
+        assert_eq!(store.scan_blocks().unwrap(), vec![key]);
+        assert_eq!(store.probe().unwrap().bytes, 11);
         assert!(store.delete_block(key).unwrap());
         assert!(!store.delete_block(key).unwrap());
-        assert_eq!(store.block_count(), 0);
+        assert_eq!(store.scan_blocks().unwrap(), Vec::new());
+        assert_eq!(store.probe().unwrap(), StoreHealth::default());
     }
 
     fn corruption_detected(store: &mut dyn BlockStore) {
@@ -463,7 +435,8 @@ mod tests {
         assert!(store.flip_byte(key, 17));
         assert_eq!(store.get_block(key).unwrap(), BlockGet::Corrupt);
         // Corrupt entries still exist (repair accounting depends on it).
-        assert!(store.contains_block(key));
+        assert_eq!(store.scan_blocks().unwrap(), vec![key]);
+        assert_eq!(store.probe().unwrap().blocks, 1);
         // Overwriting heals.
         store.put_block(key, &[4u8; 8]).unwrap();
         assert_eq!(store.get_block(key).unwrap(), BlockGet::Ok(vec![4u8; 8]));
@@ -492,7 +465,11 @@ mod tests {
             store.put_block(BlockKey::new(0, 0, 1), b"bb").unwrap();
         }
         let store = DiskStore::open(&dir).unwrap();
-        assert_eq!(store.block_count(), 2);
+        let mut keys = store.scan_blocks().unwrap();
+        keys.sort_unstable();
+        assert_eq!(keys, [BlockKey::new(0, 0, 0), BlockKey::new(0, 0, 1)]);
+        let health = store.probe().unwrap();
+        assert_eq!((health.blocks, health.bytes), (2, 3));
         assert_eq!(
             store.get_block(BlockKey::new(0, 0, 1)).unwrap(),
             BlockGet::Ok(b"bb".to_vec())
@@ -524,14 +501,15 @@ mod tests {
         let mut mem = MemStore::new();
         mem.put_block(BlockKey::new(0, 0, 0), b"x").unwrap();
         mem.wipe();
-        assert_eq!(mem.block_count(), 0);
+        assert_eq!(mem.scan_blocks().unwrap(), Vec::new());
+        assert_eq!(mem.probe().unwrap(), StoreHealth::default());
 
         let dir = tempdir("wipe");
         let mut disk = DiskStore::open(&dir).unwrap();
         disk.put_block(BlockKey::new(0, 0, 0), b"x").unwrap();
         disk.wipe();
-        assert_eq!(disk.block_count(), 0);
         assert_eq!(disk.scan_blocks().unwrap(), Vec::new());
+        assert_eq!(disk.probe().unwrap(), StoreHealth::default());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -206,11 +206,17 @@ fn revive_brings_back_capacity_not_data() {
     assert!(matches!(dfs.repair(), Err(DfsError::NotEnoughServers)));
     // ...until the machine is replaced (empty).
     dfs.revive_server(3);
-    assert_eq!(dfs.blocks_on(3), 0);
+    assert_eq!(shelved(&dfs, 3), 0);
     let summary = dfs.repair().unwrap();
     assert!(summary.repaired_locally > 0);
     assert!(dfs.fsck().all_healthy());
     assert_eq!(dfs.get("a").unwrap(), data);
+}
+
+/// Blocks actually sitting in one server's store — the shelves, as
+/// opposed to the namespace's books ([`Dfs::blocks_on`]).
+fn shelved<C: ErasureCode, S: BlockStore>(dfs: &Dfs<C, S>, server: usize) -> usize {
+    dfs.store(server).scan_blocks().unwrap().len()
 }
 
 /// Every block on every server, in a canonical order: equal snapshots
@@ -297,41 +303,72 @@ fn chunked_put_matches_oneshot_and_hides_until_commit() {
     }
 }
 
-/// A [`MemStore`] whose cluster-wide `fail_at`-th `put_block` fails —
-/// a daemon dropping off mid-write.
+/// Store calls one [`FlakyStore`] cluster has received, by verb.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Calls {
+    put: usize,
+    get: usize,
+    delete: usize,
+    scan: usize,
+    probe: usize,
+    wipe: usize,
+}
+
+/// A [`MemStore`] that counts every call cluster-wide, and whose
+/// cluster-wide `fail_at`-th `put_block` fails — a daemon dropping off
+/// mid-write (`0` = never).
 struct FlakyStore {
     inner: MemStore,
-    puts: Rc<Cell<usize>>,
+    calls: Rc<Cell<Calls>>,
     fail_at: usize,
+}
+
+impl FlakyStore {
+    fn cluster(servers: usize, fail_at: usize) -> (Vec<FlakyStore>, Rc<Cell<Calls>>) {
+        let calls = Rc::new(Cell::new(Calls::default()));
+        let stores = (0..servers)
+            .map(|_| FlakyStore {
+                inner: MemStore::new(),
+                calls: Rc::clone(&calls),
+                fail_at,
+            })
+            .collect();
+        (stores, calls)
+    }
+
+    fn count(&self, bump: impl FnOnce(&mut Calls)) -> Calls {
+        let mut calls = self.calls.get();
+        bump(&mut calls);
+        self.calls.set(calls);
+        calls
+    }
 }
 
 impl BlockStore for FlakyStore {
     fn put_block(&mut self, key: BlockKey, bytes: &[u8]) -> Result<(), StoreError> {
-        self.puts.set(self.puts.get() + 1);
-        if self.puts.get() == self.fail_at {
+        if self.count(|c| c.put += 1).put == self.fail_at {
             return Err(StoreError::Unreachable("injected".into()));
         }
         self.inner.put_block(key, bytes)
     }
     fn get_block(&self, key: BlockKey) -> Result<BlockGet, StoreError> {
+        self.count(|c| c.get += 1);
         self.inner.get_block(key)
     }
     fn delete_block(&mut self, key: BlockKey) -> Result<bool, StoreError> {
+        self.count(|c| c.delete += 1);
         self.inner.delete_block(key)
     }
     fn scan_blocks(&self) -> Result<Vec<BlockKey>, StoreError> {
+        self.count(|c| c.scan += 1);
         self.inner.scan_blocks()
     }
-    fn contains_block(&self, key: BlockKey) -> bool {
-        self.inner.contains_block(key)
-    }
-    fn block_count(&self) -> usize {
-        self.inner.block_count()
-    }
     fn wipe(&mut self) {
+        self.count(|c| c.wipe += 1);
         self.inner.wipe()
     }
     fn probe(&self) -> Result<StoreHealth, StoreError> {
+        self.count(|c| c.probe += 1);
         self.inner.probe()
     }
 }
@@ -341,21 +378,19 @@ fn failed_put_leaves_no_blocks_and_frees_the_name() {
     let code = Galloper::uniform(4, 2, 1, 4).unwrap();
     let (n, msg) = (code.num_blocks(), code.message_len());
     let data = random_data(3 * msg + 7, 3);
-    let puts = Rc::new(Cell::new(0));
-    let stores = (0..10)
-        .map(|_| FlakyStore {
-            inner: MemStore::new(),
-            puts: Rc::clone(&puts),
-            // Partway through group 2: groups 0 and 1 are fully stored.
-            fail_at: 2 * n + 3,
-        })
-        .collect();
+    // Partway through group 2: groups 0 and 1 are fully stored.
+    let (stores, calls) = FlakyStore::cluster(10, 2 * n + 3);
     let mut dfs = Dfs::with_stores(stores, code);
 
     assert!(matches!(dfs.put("a", &data), Err(DfsError::Store(_))));
-    assert_eq!(puts.get(), 2 * n + 3, "the put stopped at the failure");
+    assert_eq!(calls.get().put, 2 * n + 3, "the put stopped at the failure");
     for server in 0..10 {
-        assert_eq!(dfs.blocks_on(server), 0, "server {server} kept blocks");
+        assert_eq!(shelved(&dfs, server), 0, "server {server} kept blocks");
+        assert_eq!(
+            dfs.blocks_on(server),
+            0,
+            "server {server}: books != shelves"
+        );
     }
     assert!(matches!(dfs.get("a"), Err(DfsError::NotFound(_))));
 
@@ -365,6 +400,48 @@ fn failed_put_leaves_no_blocks_and_frees_the_name() {
     assert!(stored_blocks(&dfs).iter().all(|(_, key, _)| key.file == 1));
     assert_eq!(dfs.get("a").unwrap(), data);
     assert!(dfs.fsck().all_healthy());
+}
+
+/// The data path is the blocks and nothing else: the namespace places
+/// from its own counts and decides everything about a group from one
+/// survey, so the stores see exactly one call per block moved.
+#[test]
+fn store_traffic_is_one_call_per_block_moved() {
+    let code = Galloper::uniform(4, 2, 1, 4).unwrap();
+    let (n, groups) = (code.num_blocks(), 3);
+    let data = random_data(groups * code.message_len(), 41);
+    // One server per block of a group, so every group keeps a block on
+    // every server and any crash damages all of them.
+    let (stores, calls) = FlakyStore::cluster(n, 0);
+    let mut dfs = Dfs::with_stores(stores, code);
+
+    let before = calls.get();
+    dfs.put("a", &data).unwrap();
+    let put = before.put + groups * n;
+    assert_eq!(calls.get(), Calls { put, ..before }, "healthy put");
+
+    let before = calls.get();
+    assert_eq!(dfs.get("a").unwrap(), data);
+    let get = before.get + groups * n;
+    assert_eq!(calls.get(), Calls { get, ..before }, "healthy get");
+
+    // One lost block per group, rebuilt onto the revived (empty)
+    // server from the bytes the survey fetched: no second fetch of the
+    // plan sources.
+    dfs.fail_server(2);
+    dfs.revive_server(2);
+    let before = calls.get();
+    let summary = dfs.repair().unwrap();
+    assert_eq!(summary.repaired_locally, groups);
+    // At most n fetches per damaged group: exactly the survey's.
+    let moved = Calls {
+        get: before.get + groups * n,
+        put: before.put + groups,
+        delete: before.delete + groups,
+        ..before
+    };
+    assert_eq!(calls.get(), moved, "repair");
+    assert_eq!(dfs.get("a").unwrap(), data);
 }
 
 #[test]
@@ -391,11 +468,11 @@ fn put_abort_reclaims_blocks_and_frees_the_name() {
     let data = random_data(20_000, 5);
     dfs.put_begin("a").unwrap();
     dfs.put_append("a", &data).unwrap();
-    let stored: usize = (0..10).map(|s| dfs.blocks_on(s)).sum();
+    let stored: usize = (0..10).map(|s| shelved(&dfs, s)).sum();
     assert!(stored > 0, "groups were placed before the abort");
     assert!(dfs.put_abort("a"));
     assert!(!dfs.put_abort("a"), "second abort is a no-op");
-    let after: usize = (0..10).map(|s| dfs.blocks_on(s)).sum();
+    let after: usize = (0..10).map(|s| shelved(&dfs, s)).sum();
     assert_eq!(after, 0, "aborted upload leaves no blocks behind");
     // The name is free again.
     dfs.put("a", &data).unwrap();

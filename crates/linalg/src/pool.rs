@@ -456,13 +456,17 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
-        let before = global().gauge("linalg.pool.threads").get();
-        {
-            let pool = WorkerPool::new(2);
-            let tasks: Vec<ScopedTask<'_>> =
-                (0..4).map(|_| Box::new(|| {}) as ScopedTask<'_>).collect();
-            pool.run(tasks);
-        }
-        assert_eq!(global().gauge("linalg.pool.threads").get(), before);
+        let pool = WorkerPool::new(2);
+        let tasks: Vec<ScopedTask<'_>> =
+            (0..4).map(|_| Box::new(|| {}) as ScopedTask<'_>).collect();
+        pool.run(tasks);
+        // Each worker thread holds a clone of this pool's shared state
+        // until it exits, so the state dies with the pool only if drop
+        // waited for every worker. (The `linalg.pool.threads` gauge
+        // cannot tell: sibling tests' pools move it concurrently.)
+        let shared = Arc::downgrade(&pool.shared);
+        assert_eq!(shared.strong_count(), 3, "the pool and its two workers");
+        drop(pool);
+        assert_eq!(shared.strong_count(), 0, "a worker outlived its pool");
     }
 }

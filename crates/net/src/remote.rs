@@ -204,20 +204,6 @@ impl BlockStore for RemoteStore {
         }
     }
 
-    fn contains_block(&self, key: BlockKey) -> bool {
-        matches!(
-            self.get_block(key),
-            Ok(BlockGet::Ok(_)) | Ok(BlockGet::Corrupt)
-        )
-    }
-
-    fn block_count(&self) -> usize {
-        match self.probe() {
-            Ok(health) => health.blocks as usize,
-            Err(_) => 0,
-        }
-    }
-
     fn wipe(&mut self) {
         // Best-effort by contract: a wipe of an unreachable daemon is
         // indistinguishable from the daemon having lost everything.

@@ -5,7 +5,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use galloper_codes::{build_code, CodeSpec};
-use galloper_dfs::{BlockGet, BlockKey, BlockStore, Dfs, MemStore};
+use galloper_dfs::{BlockGet, BlockKey, BlockStore, Dfs, ErasureCode, MemStore};
 use galloper_net::{
     Conn, Daemon, DaemonHandle, ErrorKind, Gateway, GatewayHandle, RemoteStore, Request, Response,
     WHOLE_OBJECT_MAX,
@@ -65,8 +65,6 @@ fn daemon_serves_block_plane_over_tcp() {
 
     assert!(matches!(store.get_block(key), Ok(BlockGet::Missing)));
     store.put_block(key, &bytes).expect("put");
-    assert!(store.contains_block(key));
-    assert_eq!(store.block_count(), 1);
     match store.get_block(key).expect("get") {
         BlockGet::Ok(read) => assert_eq!(read, bytes),
         other => panic!("expected bytes, got {other:?}"),
@@ -77,6 +75,9 @@ fn daemon_serves_block_plane_over_tcp() {
     assert!(store.delete_block(key).expect("delete"));
     assert!(!store.delete_block(key).expect("re-delete"));
     assert!(matches!(store.get_block(key), Ok(BlockGet::Missing)));
+    assert_eq!(store.scan_blocks().expect("rescan"), Vec::new());
+    let health = store.probe().expect("reprobe");
+    assert_eq!((health.blocks, health.bytes), (0, 0));
     drop(daemons);
 }
 
@@ -90,7 +91,43 @@ fn killed_daemon_reads_as_unreachable_not_hang() {
         matches!(err, Err(galloper_dfs::StoreError::Unreachable(_))),
         "got {err:?}"
     );
-    assert_eq!(store.block_count(), 0);
+    // Occupancy questions fail the same way instead of reading as an
+    // empty store.
+    assert!(matches!(
+        store.probe(),
+        Err(galloper_dfs::StoreError::Unreachable(_))
+    ));
+    assert!(matches!(
+        store.scan_blocks(),
+        Err(galloper_dfs::StoreError::Unreachable(_))
+    ));
+}
+
+/// Placement runs on the namespace's own block counts, so what a put
+/// costs the daemons is its blocks' `PutBlock`s and nothing else — no
+/// `Probe` per placement decision.
+#[test]
+fn remote_put_is_one_daemon_request_per_block() {
+    let (_daemons, stores) = spawn_daemons(3);
+    let code = build_code(&CodeSpec::rs(2, 1, 1024)).expect("code");
+    let per_put = 3 * code.num_blocks() as u64;
+    let bytes = payload(3 * code.message_len(), 5);
+    let mut dfs = Dfs::with_stores(stores, code);
+    // The counter is process-wide and sibling tests drive daemons of
+    // their own meanwhile. Their traffic can only add to a delta, so
+    // every put moves it by at least its own requests, and a put that
+    // overlaps none of theirs by exactly that.
+    let requests = global().counter("net.daemon.requests");
+    let mut quietest = u64::MAX;
+    for attempt in 0..500 {
+        let before = requests.get();
+        dfs.put(&format!("obj/{attempt}"), &bytes).expect("put");
+        quietest = quietest.min(requests.get() - before);
+        if quietest <= per_put {
+            break;
+        }
+    }
+    assert_eq!(quietest, per_put, "a 3-group put is 3n daemon requests");
 }
 
 #[test]

@@ -16,6 +16,15 @@ if grep -rn "kept for one release" crates/ src/; then
   exit 1
 fi
 
+# The namespace keeps its own books: placement reads counts `Dfs` owns
+# and every group decision reads one survey, so no bookkeeping question
+# (an RPC, over `RemoteStore`) is put to a store on the data path.
+echo "==> no bookkeeping RPCs on the Dfs data path"
+if grep -nE '\.probe\(|block_count|contains_block' crates/dfs/src/fs.rs; then
+  echo "ci: fs.rs asks a store for bookkeeping; use the counts and the survey Dfs owns"
+  exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
