@@ -108,19 +108,27 @@ pub fn bench_env() -> Json {
         .field("timestamp", unix_timestamp())
 }
 
-/// `git rev-parse --short HEAD`, or `"unknown"` when git or the
-/// repository is unavailable (results must still be writable from a
-/// source tarball).
+/// `git rev-parse --short HEAD`, `+dirty` when the work tree differs
+/// from it (the numbers then describe uncommitted code, not that
+/// revision), or `"unknown"` when git or the repository is unavailable
+/// (results must still be writable from a source tarball).
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) {
+        Some(rev) => match git(&["status", "--porcelain"]) {
+            Some(changes) if changes.is_empty() => rev,
+            _ => format!("{rev}+dirty"),
+        },
+        None => "unknown".to_string(),
+    }
 }
 
 /// Seconds since the Unix epoch (0 if the clock is before it).

@@ -55,7 +55,8 @@ pub fn resolve_listen(flag: Option<&str>) -> String {
 ///
 /// # Errors
 ///
-/// A rendered message when the bind or store open fails.
+/// A rendered message when the bind, the store open or the server
+/// start fails.
 pub fn run_daemon(root: &Path, listen: &str) -> Result<(), String> {
     let listener =
         TcpListener::bind(listen).map_err(|e| format!("daemon: cannot bind {listen}: {e}"))?;
@@ -64,8 +65,22 @@ pub fn run_daemon(root: &Path, listen: &str) -> Result<(), String> {
         .map_err(|e| format!("daemon: no local addr: {e}"))?;
     let store = DiskStore::open(root)
         .map_err(|e| format!("daemon: cannot open store at {}: {e}", root.display()))?;
+    let daemon =
+        Daemon::spawn(listener, store).map_err(|e| format!("daemon: serve failed: {e}"))?;
     println!("GALLOPER_DAEMON_LISTENING {addr}");
-    Daemon::run(listener, store).map_err(|e| format!("daemon: serve failed: {e}"))
+    serve_until_killed(daemon)
+}
+
+/// Serves until the process is killed. The servers in `held` run on
+/// background threads; the calling thread only keeps the process (and,
+/// for `serve`, the children's parenthood) alive.
+fn serve_until_killed<T>(held: T) -> ! {
+    loop {
+        std::thread::park();
+        // Spurious unparks are allowed by the std contract; nothing to
+        // do but keep holding the servers.
+        let _ = &held;
+    }
 }
 
 /// One spawned daemon child: its process handle and bound address.
@@ -192,15 +207,7 @@ pub fn run_serve(daemons: usize, root: &Path, listen: &str, spec: &CodeSpec) -> 
     )
     .map_err(|e| format!("serve: gateway failed: {e}"))?;
     println!("GALLOPER_GATEWAY_LISTENING {addr}");
-    // Serve until killed. The gateway and scraper run on background
-    // threads; this thread only keeps the process (and the children's
-    // parenthood) alive.
-    loop {
-        std::thread::park();
-        // Spurious unparks are allowed by the std contract; nothing to
-        // do but keep holding the gateway.
-        let _ = (&gateway, &scraper);
-    }
+    serve_until_killed((gateway, scraper))
 }
 
 /// The default serve spec for `daemons` servers when no family flags

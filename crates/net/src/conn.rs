@@ -12,6 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::env_positive;
 use crate::frame::{read_frame, write_frame_vectored, MAX_FRAME};
 use crate::proto::{ErrorKind, ProtocolError, Request, Response, TraceContext};
 
@@ -30,20 +31,7 @@ pub const DEFAULT_CHUNK_BYTES: usize = 4 << 20;
 /// one frame; unparseable values warn once per call and fall back to
 /// the default, consistent with the other env knobs.
 pub fn chunk_bytes_from_env() -> usize {
-    let picked = match std::env::var("GALLOPER_CHUNK_BYTES") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: GALLOPER_CHUNK_BYTES='{s}' is not a positive integer; \
-                     using {DEFAULT_CHUNK_BYTES}"
-                );
-                DEFAULT_CHUNK_BYTES
-            }
-        },
-        Err(_) => DEFAULT_CHUNK_BYTES,
-    };
-    picked.min(WHOLE_OBJECT_MAX)
+    env_positive("GALLOPER_CHUNK_BYTES", DEFAULT_CHUNK_BYTES).min(WHOLE_OBJECT_MAX)
 }
 
 /// One framed, half-duplex protocol connection.
@@ -138,9 +126,7 @@ impl Conn {
         self.guard(res)
     }
 
-    /// Receives one request frame (server side), dropping any trace
-    /// context; servers that propagate context use
-    /// [`recv_request_with_ctx`](Conn::recv_request_with_ctx).
+    /// Receives one response frame.
     ///
     /// # Errors
     ///
@@ -148,39 +134,6 @@ impl Conn {
     /// peer disconnect surfaces as
     /// [`std::io::ErrorKind::UnexpectedEof`] inside
     /// [`ProtocolError::Io`].
-    pub fn recv_request(&mut self) -> Result<Request, ProtocolError> {
-        let res = read_frame(&mut self.stream).and_then(|p| Request::decode(&p));
-        self.guard(res)
-    }
-
-    /// Receives one request frame along with its optional
-    /// [`TraceContext`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Conn::recv_request`].
-    pub fn recv_request_with_ctx(
-        &mut self,
-    ) -> Result<(Request, Option<TraceContext>), ProtocolError> {
-        let res = read_frame(&mut self.stream).and_then(|p| Request::decode_with_ctx(&p));
-        self.guard(res)
-    }
-
-    /// Sends one response frame (server side).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError`] on frame or socket failure.
-    pub fn send_response(&mut self, resp: &Response) -> Result<(), ProtocolError> {
-        let res = write_frame_vectored(&mut &self.stream, &resp.encode());
-        self.guard(res)
-    }
-
-    /// Receives one response frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`Conn::recv_request`].
     pub fn recv_response(&mut self) -> Result<Response, ProtocolError> {
         let res = read_frame(&mut self.stream).and_then(|p| Response::decode(&p));
         self.guard(res)

@@ -6,7 +6,7 @@
 //! moves opaque byte vectors.
 //!
 //! Two consumers share the format: blocking socket I/O goes through
-//! [`write_frame`] / [`read_frame`], and the incremental
+//! [`write_frame_vectored`] / [`read_frame`], and the incremental
 //! [`FrameReader`] reassembles frames from arbitrarily-chunked input
 //! (partial writes, coalesced writes) for callers that feed bytes as
 //! they arrive.
@@ -25,24 +25,6 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// Bytes of the length prefix.
 pub const FRAME_HEADER: usize = 4;
 
-/// Writes one frame (length prefix + payload).
-///
-/// # Errors
-///
-/// [`ProtocolError::Oversize`] when the payload exceeds [`MAX_FRAME`];
-/// otherwise I/O errors from the writer.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    if payload.len() > MAX_FRAME {
-        return Err(ProtocolError::Oversize {
-            len: payload.len() as u64,
-            max: MAX_FRAME,
-        });
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(())
-}
-
 /// Writes one frame as a single vectored write: the 4-byte length
 /// prefix and the payload leave in one `writev(2)` call (continued
 /// through partial writes), so an unbuffered socket sees one syscall
@@ -51,7 +33,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
 ///
 /// # Errors
 ///
-/// As [`write_frame`].
+/// [`ProtocolError::Oversize`] when the payload exceeds [`MAX_FRAME`];
+/// otherwise I/O errors from the writer.
 pub fn write_frame_vectored(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
     if payload.len() > MAX_FRAME {
         return Err(ProtocolError::Oversize {
@@ -182,8 +165,8 @@ mod tests {
     #[test]
     fn roundtrip_through_io() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"").unwrap();
+        write_frame_vectored(&mut wire, b"hello").unwrap();
+        write_frame_vectored(&mut wire, b"").unwrap();
         let mut cursor = &wire[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap(), b"");
@@ -193,11 +176,11 @@ mod tests {
     #[test]
     fn vectored_writer_produces_identical_wire_bytes() {
         for payload in [&b""[..], b"x", &[0xABu8; 300][..]] {
-            let mut buffered = Vec::new();
-            write_frame(&mut buffered, payload).unwrap();
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(payload);
             let mut vectored = Vec::new();
             write_frame_vectored(&mut vectored, payload).unwrap();
-            assert_eq!(buffered, vectored, "payload len {}", payload.len());
+            assert_eq!(expected, vectored, "payload len {}", payload.len());
             let mut cursor = &vectored[..];
             assert_eq!(read_frame(&mut cursor).unwrap(), payload);
         }
@@ -217,8 +200,8 @@ mod tests {
     #[test]
     fn reader_handles_byte_at_a_time() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"abc").unwrap();
-        write_frame(&mut wire, &[0xFF; 300]).unwrap();
+        write_frame_vectored(&mut wire, b"abc").unwrap();
+        write_frame_vectored(&mut wire, &[0xFF; 300]).unwrap();
         let mut r = FrameReader::new();
         let mut frames = Vec::new();
         for b in wire {

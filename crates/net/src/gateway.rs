@@ -7,6 +7,13 @@
 //! daemons — and streams the result back. Reads share the `Dfs` read
 //! lock and run concurrently; writes serialize on the write lock.
 //!
+//! This module is only what an object request *means*: admission,
+//! chunked-transfer sessions, the dispatch onto the `Dfs`, the
+//! gateway's stats document, and the `gateway.request` span and
+//! per-kind histograms around each admitted request. Accepting,
+//! framing, refusing malformed input and shutting down are the shared
+//! server core's — the same loop the daemon runs.
+//!
 //! ## Admission control
 //!
 //! Total in-flight requests are bounded by a counting semaphore of
@@ -34,20 +41,18 @@
 //! its blocks reclaimed.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use galloper_dfs::{BlockStore, Dfs, DfsError, ErasureCode};
-use galloper_obs::{global, global_trace, op, Json};
+use galloper_obs::{global, op, Json};
 
 use crate::conn::{chunk_bytes_from_env, WHOLE_OBJECT_MAX};
-use crate::daemon::{service_uptime_ms, spawn_refusal};
-use crate::frame::FrameReader;
-use crate::proto::{ErrorKind, ProtocolError, Request, Response, PROTO_VERSION};
+use crate::env_positive;
+use crate::proto::{ErrorKind, ProtocolError, Request, Response};
 use crate::scrape::Scraper;
+use crate::server::{self, stats_doc, ServerHandle, Service};
 
 /// Default admission-queue width.
 pub const DEFAULT_MAX_INFLIGHT: usize = 256;
@@ -63,44 +68,17 @@ pub const ADMISSION_TIMEOUT: Duration = Duration::from_secs(2);
 /// bounding what one connection can pin.
 const MAX_STREAM_SESSIONS: usize = 4;
 
-/// How often a blocked worker wakes to check for shutdown.
-const POLL: Duration = Duration::from_millis(100);
-
 /// Reads `GALLOPER_ADMISSION_MS` (falling back to
 /// [`ADMISSION_TIMEOUT`]); malformed values warn on stderr.
 pub fn admission_timeout_from_env() -> Duration {
-    match std::env::var("GALLOPER_ADMISSION_MS") {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Duration::from_millis(n),
-            _ => {
-                eprintln!(
-                    "warning: GALLOPER_ADMISSION_MS='{s}' is not a positive integer; \
-                     using {}",
-                    ADMISSION_TIMEOUT.as_millis()
-                );
-                ADMISSION_TIMEOUT
-            }
-        },
-        Err(_) => ADMISSION_TIMEOUT,
-    }
+    let default = ADMISSION_TIMEOUT.as_millis() as u64;
+    Duration::from_millis(env_positive("GALLOPER_ADMISSION_MS", default))
 }
 
 /// Reads `GALLOPER_MAX_INFLIGHT` (falling back to
 /// [`DEFAULT_MAX_INFLIGHT`]); malformed values warn on stderr.
 pub fn max_inflight_from_env() -> usize {
-    match std::env::var("GALLOPER_MAX_INFLIGHT") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: GALLOPER_MAX_INFLIGHT='{s}' is not a positive integer; \
-                     using {DEFAULT_MAX_INFLIGHT}"
-                );
-                DEFAULT_MAX_INFLIGHT
-            }
-        },
-        Err(_) => DEFAULT_MAX_INFLIGHT,
-    }
+    env_positive("GALLOPER_MAX_INFLIGHT", DEFAULT_MAX_INFLIGHT)
 }
 
 /// A counting semaphore over `Mutex` + `Condvar` (std has none).
@@ -157,41 +135,6 @@ pub fn kind_of_dfs(e: &DfsError) -> ErrorKind {
     }
 }
 
-/// A running gateway (see [`Gateway::spawn`]).
-#[derive(Debug)]
-pub struct GatewayHandle {
-    addr: std::net::SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    workers: Arc<AtomicUsize>,
-    accept: Option<thread::JoinHandle<()>>,
-}
-
-impl GatewayHandle {
-    /// The gateway's bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Stops the gateway (idempotent; also runs on drop).
-    pub fn kill(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while self.workers.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-    }
-}
-
-impl Drop for GatewayHandle {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
 /// The object-plane server.
 pub struct Gateway;
 
@@ -207,7 +150,7 @@ impl Gateway {
         listener: TcpListener,
         dfs: Dfs<C, S>,
         max_inflight: usize,
-    ) -> Result<GatewayHandle, ProtocolError>
+    ) -> Result<ServerHandle, ProtocolError>
     where
         C: ErasureCode + Send + Sync + 'static,
         S: BlockStore + Send + Sync + 'static,
@@ -228,75 +171,24 @@ impl Gateway {
         dfs: Dfs<C, S>,
         max_inflight: usize,
         scraper: Option<Arc<Scraper>>,
-    ) -> Result<GatewayHandle, ProtocolError>
+    ) -> Result<ServerHandle, ProtocolError>
     where
         C: ErasureCode + Send + Sync + 'static,
         S: BlockStore + Send + Sync + 'static,
     {
-        let addr = listener.local_addr()?;
-        // Anchor the uptime epoch before the first request can ask.
-        let _ = service_uptime_ms();
-        let admission_timeout = admission_timeout_from_env();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let workers = Arc::new(AtomicUsize::new(0));
-        let dfs = Arc::new(RwLock::new(dfs));
-        let admission = Arc::new(Admission::new(max_inflight.max(1)));
+        let max_inflight = max_inflight.max(1);
         global()
             .gauge("net.gateway.max_inflight")
-            .set(max_inflight.max(1) as i64);
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let workers = Arc::clone(&workers);
-            thread::Builder::new()
-                .name(format!("gateway-accept-{addr}"))
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        global().counter("net.gateway.connections").inc();
-                        let shutdown = Arc::clone(&shutdown);
-                        let conn_workers = Arc::clone(&workers);
-                        let dfs = Arc::clone(&dfs);
-                        let admission = Arc::clone(&admission);
-                        let scraper = scraper.clone();
-                        workers.fetch_add(1, Ordering::SeqCst);
-                        // Cloned before the spawn: a failed spawn
-                        // drops its closure (and the stream with it),
-                        // and the client deserves a typed refusal,
-                        // not a silent hangup.
-                        let reply = stream.try_clone();
-                        let spawned =
-                            thread::Builder::new()
-                                .name("gateway-conn".into())
-                                .spawn(move || {
-                                    serve_conn(
-                                        stream,
-                                        &dfs,
-                                        &admission,
-                                        admission_timeout,
-                                        scraper,
-                                        &shutdown,
-                                    );
-                                    conn_workers.fetch_sub(1, Ordering::SeqCst);
-                                });
-                        if spawned.is_err() {
-                            workers.fetch_sub(1, Ordering::SeqCst);
-                            global().counter("net.gateway.spawn_failures").inc();
-                            if let Ok(mut s) = reply {
-                                let _ = respond(&mut s, &spawn_refusal());
-                            }
-                        }
-                    }
-                })?
-        };
-        Ok(GatewayHandle {
-            addr,
-            shutdown,
-            workers,
-            accept: Some(accept),
-        })
+            .set(max_inflight as i64);
+        server::spawn(
+            listener,
+            ObjectService {
+                dfs: RwLock::new(dfs),
+                admission: Admission::new(max_inflight),
+                admission_timeout: admission_timeout_from_env(),
+                scraper,
+            },
+        )
     }
 }
 
@@ -312,10 +204,7 @@ where
             let mut d = dfs.write().unwrap_or_else(|e| e.into_inner());
             match d.put(&name, &bytes) {
                 Ok(_) => Response::Ok,
-                Err(e) => Response::Err {
-                    kind: kind_of_dfs(&e),
-                    message: e.to_string(),
-                },
+                Err(e) => dfs_err(&e),
             }
         }
         Request::GetObject { name } => {
@@ -328,44 +217,42 @@ where
             match d.object_manifest(&name) {
                 Ok(m) if m.object_len > WHOLE_OBJECT_MAX => {
                     global().counter("net.gateway.oversize_refusals").inc();
-                    return Response::Err {
-                        kind: ErrorKind::OutOfRange,
-                        message: format!(
+                    return Response::err(
+                        ErrorKind::OutOfRange,
+                        format_args!(
                             "object is {} bytes, larger than one frame; use chunked transfer",
                             m.object_len
                         ),
-                    };
+                    );
                 }
                 _ => {}
             }
             match d.get(&name) {
                 Ok(bytes) => Response::Blob(bytes),
-                Err(e) => Response::Err {
-                    kind: kind_of_dfs(&e),
-                    message: e.to_string(),
-                },
+                Err(e) => dfs_err(&e),
             }
         }
-        Request::Ping => Response::Ok,
-        _ => Response::Err {
-            kind: ErrorKind::Protocol,
-            message: "block-plane request sent to the gateway".into(),
-        },
+        _ => Response::err(
+            ErrorKind::Protocol,
+            "block-plane request sent to the gateway",
+        ),
     }
 }
 
 fn dfs_err(e: &DfsError) -> Response {
-    Response::Err {
-        kind: kind_of_dfs(e),
-        message: e.to_string(),
-    }
+    Response::err(kind_of_dfs(e), e)
 }
 
 fn stream_protocol_err(message: String) -> Response {
-    Response::Err {
-        kind: ErrorKind::Protocol,
-        message,
-    }
+    Response::err(ErrorKind::Protocol, message)
+}
+
+/// The refusal for a connection already at [`MAX_STREAM_SESSIONS`].
+fn too_many_transfers() -> Response {
+    Response::err(
+        ErrorKind::Busy,
+        "too many open transfers on this connection; finish one first",
+    )
 }
 
 /// One open chunked upload: bytes received so far stream into the
@@ -489,10 +376,7 @@ where
     match req {
         Request::PutStart { name, object_len } => {
             if !sessions.has_room() {
-                return Response::Err {
-                    kind: ErrorKind::Busy,
-                    message: "too many open transfers on this connection; finish one first".into(),
-                };
+                return too_many_transfers();
             }
             let begun = dfs
                 .write()
@@ -587,10 +471,7 @@ where
         }
         Request::GetStart { name } => {
             if !sessions.has_room() {
-                return Response::Err {
-                    kind: ErrorKind::Busy,
-                    message: "too many open transfers on this connection; finish one first".into(),
-                };
+                return too_many_transfers();
             }
             let d = dfs.read().unwrap_or_else(|e| e.into_inner());
             let manifest = match d.object_manifest(&name) {
@@ -665,200 +546,112 @@ where
     }
 }
 
-/// Builds the gateway's stats document: vitals, the registry export
-/// (including per-kind request histograms), buffered trace events when
-/// tracing is on, and — when a [`Scraper`] is attached — the whole
-/// cluster's merged view under `"scrape"`. `daemons_reachable` is
-/// stamped at the top level of that section so shell checks can grep
-/// it without walking the structure.
+/// Builds the gateway's stats document: the common node fields
+/// (whose registry export includes the per-kind request histograms)
+/// and — when a [`Scraper`] is attached — the whole cluster's merged
+/// view under `"scrape"`. `daemons_reachable` is stamped at the top
+/// level of that section so shell checks can grep it without walking
+/// the structure.
 fn gateway_stats_doc(scraper: Option<&Scraper>) -> Json {
-    let ring = global_trace();
-    let mut doc = Json::object()
-        .field("role", "gateway")
-        .field("version", PROTO_VERSION)
-        .field("uptime_ms", service_uptime_ms())
-        .field("now_us", ring.now_us())
-        .field("metrics", global().export().to_json());
-    if ring.is_enabled() {
-        let events: Vec<Json> = ring.events().iter().map(|e| e.to_json()).collect();
-        doc = doc.field("trace", Json::Arr(events));
-    }
     let scrape = match scraper {
         Some(s) => s.status_json(),
         None => Json::object().field("enabled", false),
     };
-    doc.field("scrape", scrape)
+    stats_doc("gateway").field("scrape", scrape)
 }
 
-/// Drives one client connection; same frame-reassembly/poll shape as
-/// the daemon's loop, plus admission control per request.
-///
-/// `Stats` and `Ping` answer *before* admission: introspection must
-/// work precisely when the admission queue is saturated, and neither
-/// touches the `Dfs`. Admitted object requests run under a
-/// `gateway.request` span (joined to the client's trace context when
-/// the frame carried one) and are timed into per-kind histograms —
-/// `net.gateway.get_us` / `net.gateway.put_us` count *only* admitted,
-/// answered requests, which is what makes the loadgen's
-/// responses-vs-histogram-count cross-check exact.
-fn serve_conn<C, S>(
-    stream: TcpStream,
-    dfs: &RwLock<Dfs<C, S>>,
-    admission: &Admission,
+/// The gateway plane as the server core sees it: the namespace, the
+/// admission queue in front of it, and per-connection transfer
+/// sessions.
+struct ObjectService<C, S> {
+    dfs: RwLock<Dfs<C, S>>,
+    admission: Admission,
     admission_timeout: Duration,
     scraper: Option<Arc<Scraper>>,
-    shutdown: &AtomicBool,
-) where
-    C: ErasureCode,
-    S: BlockStore,
-{
-    let mut sessions = StreamSessions::new();
-    conn_loop(
-        stream,
-        dfs,
-        admission,
-        admission_timeout,
-        scraper,
-        shutdown,
-        &mut sessions,
-    );
-    // However the connection ended — clean close, transport error,
-    // shutdown — its open transfers die with it, and half-uploaded
-    // objects have their staged blocks reclaimed.
-    sessions.abort_all(dfs);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn conn_loop<C, S>(
-    mut stream: TcpStream,
-    dfs: &RwLock<Dfs<C, S>>,
-    admission: &Admission,
-    admission_timeout: Duration,
-    scraper: Option<Arc<Scraper>>,
-    shutdown: &AtomicBool,
-    sessions: &mut StreamSessions,
-) where
-    C: ErasureCode,
-    S: BlockStore,
+impl<C, S> Service for ObjectService<C, S>
+where
+    C: ErasureCode + Send + Sync + 'static,
+    S: BlockStore + Send + Sync + 'static,
 {
-    use std::io::Read as _;
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
+    const PLANE: &'static str = "gateway";
+    type Conn = StreamSessions;
+
+    fn connect(&self) -> StreamSessions {
+        StreamSessions::new()
     }
-    let mut frames = FrameReader::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
+
+    /// `Stats` and `Ping` answer *before* admission: introspection must
+    /// work precisely when the admission queue is saturated, and neither
+    /// touches the `Dfs`.
+    fn handle(&self, sessions: &mut StreamSessions, req: Request) -> Response {
+        match req {
+            Request::Stats => Response::Stats(
+                gateway_stats_doc(self.scraper.as_deref())
+                    .render()
+                    .into_bytes(),
+            ),
+            Request::Ping => Response::Ok,
+            req => self.admit(sessions, req),
         }
-        while let Some(payload) = frames.pop() {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let (req, ctx) = match Request::decode_with_ctx(&payload) {
-                Ok(decoded) => decoded,
-                Err(e) => {
-                    global().counter("net.gateway.protocol_errors").inc();
-                    let _ = respond(
-                        &mut stream,
-                        &Response::Err {
-                            kind: ErrorKind::Protocol,
-                            message: e.to_string(),
-                        },
-                    );
-                    return;
-                }
-            };
-            global().counter("net.gateway.requests").inc();
-            let resp = match req {
-                Request::Stats => {
-                    Response::Stats(gateway_stats_doc(scraper.as_deref()).render().into_bytes())
-                }
-                Request::Ping => Response::Ok,
-                req => {
-                    let wait = Instant::now();
-                    if admission.acquire(admission_timeout) {
-                        global()
-                            .histogram("net.gateway.admission_wait_us")
-                            .record(wait.elapsed().as_micros() as u64);
-                        let kind = match req {
-                            Request::GetObject { .. } => Some("net.gateway.get_us"),
-                            Request::PutObject { .. } => Some("net.gateway.put_us"),
-                            _ => None,
-                        };
-                        let _ctx = ctx.map(|c| {
-                            op::install(op::OpContext {
-                                op: c.op,
-                                span: c.span,
-                            })
-                        });
-                        let _span = op::span("gateway.request", "net");
-                        let inflight = global().gauge("net.gateway.inflight");
-                        inflight.add(1);
-                        let started = Instant::now();
-                        let resp = if is_stream_request(&req) {
-                            handle_stream_request(dfs, sessions, req)
-                        } else {
-                            handle_object_request(dfs, req)
-                        };
-                        if let Some(name) = kind {
-                            global()
-                                .histogram(name)
-                                .record(started.elapsed().as_micros() as u64);
-                        }
-                        inflight.add(-1);
-                        admission.release();
-                        resp
-                    } else {
-                        global().counter("net.gateway.busy_rejections").inc();
-                        // A refused chunk strands its transfer (the
-                        // client treats any typed error as
-                        // transfer-over), so destroy the session
-                        // rather than leak it until conn close.
-                        match &req {
-                            Request::PutChunk { id, .. } | Request::PutCommit { id } => {
-                                sessions.abort_put(dfs, *id);
-                            }
-                            Request::GetChunk { id } => sessions.abort_get(*id),
-                            _ => {}
-                        }
-                        Response::Err {
-                            kind: ErrorKind::Busy,
-                            message: "admission queue full; retry with backoff".into(),
-                        }
-                    }
-                }
-            };
-            if respond(&mut stream, &resp).is_err() {
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                if let Err(e) = frames.push(&chunk[..n]) {
-                    global().counter("net.gateway.protocol_errors").inc();
-                    let _ = respond(
-                        &mut stream,
-                        &Response::Err {
-                            kind: ErrorKind::Protocol,
-                            message: e.to_string(),
-                        },
-                    );
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => return,
-        }
+    }
+
+    /// Every open transfer dies with its connection, and half-uploaded
+    /// objects have their staged blocks reclaimed.
+    fn hangup(&self, mut sessions: StreamSessions) {
+        sessions.abort_all(&self.dfs);
     }
 }
 
-fn respond(stream: &mut TcpStream, resp: &Response) -> Result<(), ProtocolError> {
-    crate::frame::write_frame(stream, &resp.encode())
+impl<C: ErasureCode, S: BlockStore> ObjectService<C, S> {
+    /// Runs one object request through the admission queue. Admitted
+    /// requests run under a `gateway.request` span (joined to the
+    /// client's trace context when the frame carried one) and are
+    /// timed into per-kind histograms — `net.gateway.get_us` /
+    /// `net.gateway.put_us` count *only* admitted, answered requests,
+    /// which is what makes the loadgen's responses-vs-histogram-count
+    /// cross-check exact.
+    fn admit(&self, sessions: &mut StreamSessions, req: Request) -> Response {
+        let wait = Instant::now();
+        if !self.admission.acquire(self.admission_timeout) {
+            global().counter("net.gateway.busy_rejections").inc();
+            // A refused chunk strands its transfer (the client treats
+            // any typed error as transfer-over), so destroy the
+            // session rather than leak it until conn close.
+            match &req {
+                Request::PutChunk { id, .. } | Request::PutCommit { id } => {
+                    sessions.abort_put(&self.dfs, *id);
+                }
+                Request::GetChunk { id } => sessions.abort_get(*id),
+                _ => {}
+            }
+            return Response::err(ErrorKind::Busy, "admission queue full; retry with backoff");
+        }
+        global()
+            .histogram("net.gateway.admission_wait_us")
+            .record(wait.elapsed().as_micros() as u64);
+        let kind = match req {
+            Request::GetObject { .. } => Some("net.gateway.get_us"),
+            Request::PutObject { .. } => Some("net.gateway.put_us"),
+            _ => None,
+        };
+        let _span = op::span("gateway.request", "net");
+        let inflight = global().gauge("net.gateway.inflight");
+        inflight.add(1);
+        let started = Instant::now();
+        let resp = if is_stream_request(&req) {
+            handle_stream_request(&self.dfs, sessions, req)
+        } else {
+            handle_object_request(&self.dfs, req)
+        };
+        if let Some(name) = kind {
+            global()
+                .histogram(name)
+                .record(started.elapsed().as_micros() as u64);
+        }
+        inflight.add(-1);
+        self.admission.release();
+        resp
+    }
 }

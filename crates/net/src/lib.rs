@@ -16,12 +16,16 @@
 //! * [`conn`] — [`Conn`], a blocking half-duplex request/response
 //!   connection (one outstanding request per connection: that
 //!   discipline is the per-connection backpressure);
-//! * services — [`Daemon`] (one [`BlockStore`](galloper_dfs::BlockStore) served thread-per-
-//!   connection), [`RemoteStore`] (the client side, itself a
-//!   `BlockStore`, so a `Dfs` can run over remote daemons unchanged),
-//!   and [`Gateway`] (object-plane service over a whole `Dfs`, with a
-//!   bounded admission queue that answers overload with typed `Busy`
-//!   refusals instead of unbounded queueing);
+//! * services — [`Daemon`] (one [`BlockStore`](galloper_dfs::BlockStore)
+//!   served over the block plane), [`RemoteStore`] (the client side,
+//!   itself a `BlockStore`, so a `Dfs` can run over remote daemons
+//!   unchanged), and [`Gateway`] (object-plane service over a whole
+//!   `Dfs`, with a bounded admission queue that answers overload with
+//!   typed `Busy` refusals instead of unbounded queueing). Both
+//!   servers are request handlers plugged into one private server
+//!   core — one accept loop, thread per connection, one frame
+//!   reassembly/refusal/response loop — and both hand back the same
+//!   [`ServerHandle`];
 //! * [`scrape`] — the gateway-side [`Scraper`] that polls every
 //!   daemon's `Stats` endpoint and merges the per-node registry
 //!   exports into a bounded time series of cluster views, which the
@@ -53,13 +57,14 @@ pub mod gateway;
 pub mod proto;
 mod remote;
 pub mod scrape;
+mod server;
 
 pub use conn::{chunk_bytes_from_env, Conn, DEFAULT_CHUNK_BYTES, WHOLE_OBJECT_MAX};
-pub use daemon::{node_stats_doc, Daemon, DaemonHandle};
+pub use daemon::{Daemon, DaemonHandle};
 pub use frame::{FrameReader, FRAME_HEADER, MAX_FRAME};
 pub use gateway::{
-    admission_timeout_from_env, kind_of_dfs, max_inflight_from_env, Gateway, GatewayHandle,
-    ADMISSION_TIMEOUT, DEFAULT_MAX_INFLIGHT,
+    admission_timeout_from_env, kind_of_dfs, max_inflight_from_env, Gateway, ADMISSION_TIMEOUT,
+    DEFAULT_MAX_INFLIGHT,
 };
 pub use proto::{
     ErrorKind, NodeVitals, ProtocolError, Request, Response, TraceContext, PROTO_VERSION,
@@ -69,3 +74,23 @@ pub use scrape::{
     scrape_ms_from_env, stat_ring_from_env, ClusterView, NodeStats, Scraper, DEFAULT_SCRAPE_MS,
     DEFAULT_STAT_RING,
 };
+pub use server::ServerHandle;
+
+/// Reads the positive integer in environment variable `name`; unset
+/// means `default`, and anything else (unparseable, zero) warns on
+/// stderr and means `default` too.
+fn env_positive<T>(name: &str, default: T) -> T
+where
+    T: std::str::FromStr + PartialOrd + Default + std::fmt::Display,
+{
+    let Ok(s) = std::env::var(name) else {
+        return default;
+    };
+    match s.trim().parse::<T>() {
+        Ok(n) if n > T::default() => n,
+        _ => {
+            eprintln!("warning: {name}='{s}' is not a positive integer; using {default}");
+            default
+        }
+    }
+}

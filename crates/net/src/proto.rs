@@ -707,6 +707,14 @@ impl Request {
 }
 
 impl Response {
+    /// A typed failure whose detail is `message` rendered.
+    pub(crate) fn err(kind: ErrorKind, message: impl fmt::Display) -> Response {
+        Response::Err {
+            kind,
+            message: message.to_string(),
+        }
+    }
+
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         match self {

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use galloper_obs::{global, global_trace, json, Json, RegistrySnapshot};
 
 use crate::conn::Conn;
+use crate::env_positive;
 use crate::proto::{Request, Response};
 
 /// Default scrape interval in milliseconds (`GALLOPER_SCRAPE_MS`).
@@ -46,37 +47,13 @@ const POLL: Duration = Duration::from_millis(50);
 /// Reads `GALLOPER_SCRAPE_MS` (default [`DEFAULT_SCRAPE_MS`]);
 /// malformed or zero values warn on stderr.
 pub fn scrape_ms_from_env() -> u64 {
-    match std::env::var("GALLOPER_SCRAPE_MS") {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: GALLOPER_SCRAPE_MS='{s}' is not a positive integer; \
-                     using {DEFAULT_SCRAPE_MS}"
-                );
-                DEFAULT_SCRAPE_MS
-            }
-        },
-        Err(_) => DEFAULT_SCRAPE_MS,
-    }
+    env_positive("GALLOPER_SCRAPE_MS", DEFAULT_SCRAPE_MS)
 }
 
 /// Reads `GALLOPER_STAT_RING` (default [`DEFAULT_STAT_RING`]);
 /// malformed or zero values warn on stderr.
 pub fn stat_ring_from_env() -> usize {
-    match std::env::var("GALLOPER_STAT_RING") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: GALLOPER_STAT_RING='{s}' is not a positive integer; \
-                     using {DEFAULT_STAT_RING}"
-                );
-                DEFAULT_STAT_RING
-            }
-        },
-        Err(_) => DEFAULT_STAT_RING,
-    }
+    env_positive("GALLOPER_STAT_RING", DEFAULT_STAT_RING)
 }
 
 /// One node's answer (or failure) within a scrape tick.

@@ -5,7 +5,7 @@
 //! split-write reassembly under seeded chunkings.
 
 use galloper_dfs::BlockKey;
-use galloper_net::frame::{write_frame, FrameReader, FRAME_HEADER, MAX_FRAME};
+use galloper_net::frame::{write_frame_vectored, FrameReader, FRAME_HEADER, MAX_FRAME};
 use galloper_net::{ErrorKind, NodeVitals, ProtocolError, Request, Response, TraceContext};
 use galloper_testkit::{run_cases, TestRng};
 
@@ -272,7 +272,7 @@ fn oversized_frames_are_rejected_by_reader_and_writer() {
     // A frame exactly at the limit is fine in principle; just probe the
     // boundary arithmetic with a small stand-in to keep the test cheap.
     let mut sink = CountingSink(0);
-    write_frame(&mut sink, &[0u8; 1024]).expect("in-bounds frame");
+    write_frame_vectored(&mut sink, &[0u8; 1024]).expect("in-bounds frame");
     assert_eq!(sink.0, FRAME_HEADER + 1024);
 }
 
@@ -288,7 +288,7 @@ fn split_write_reassembly_matches_any_chunking() {
             } else {
                 arbitrary_response(rng).encode()
             };
-            write_frame(&mut wire, &payload).expect("frame");
+            write_frame_vectored(&mut wire, &payload).expect("frame");
             expect.push(payload);
         }
         // ...delivered in random-size chunks (including empty reads)...

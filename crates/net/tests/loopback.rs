@@ -7,7 +7,7 @@ use std::time::Duration;
 use galloper_codes::{build_code, CodeSpec};
 use galloper_dfs::{BlockGet, BlockKey, BlockStore, Dfs, ErasureCode, MemStore};
 use galloper_net::{
-    Conn, Daemon, DaemonHandle, ErrorKind, Gateway, GatewayHandle, RemoteStore, Request, Response,
+    Conn, Daemon, ErrorKind, Gateway, RemoteStore, Request, Response, ServerHandle,
     WHOLE_OBJECT_MAX,
 };
 use galloper_obs::global;
@@ -19,7 +19,7 @@ fn listener() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").expect("bind loopback")
 }
 
-fn spawn_daemons(n: usize) -> (Vec<DaemonHandle>, Vec<RemoteStore>) {
+fn spawn_daemons(n: usize) -> (Vec<ServerHandle>, Vec<RemoteStore>) {
     let mut handles = Vec::new();
     let mut stores = Vec::new();
     for _ in 0..n {
@@ -31,11 +31,11 @@ fn spawn_daemons(n: usize) -> (Vec<DaemonHandle>, Vec<RemoteStore>) {
     (handles, stores)
 }
 
-fn spawn_cluster(n: usize) -> (Vec<DaemonHandle>, GatewayHandle, Conn) {
+fn spawn_cluster(n: usize) -> (Vec<ServerHandle>, ServerHandle, Conn) {
     spawn_cluster_with(n, &CodeSpec::rs(2, 1, 1024))
 }
 
-fn spawn_cluster_with(n: usize, spec: &CodeSpec) -> (Vec<DaemonHandle>, GatewayHandle, Conn) {
+fn spawn_cluster_with(n: usize, spec: &CodeSpec) -> (Vec<ServerHandle>, ServerHandle, Conn) {
     let (daemons, stores) = spawn_daemons(n);
     // rs(2,1): 3 blocks per group, tolerates any single loss — the
     // smallest cluster that survives a daemon kill.
@@ -314,21 +314,13 @@ fn chunked_transfer_roundtrips_objects_straddling_the_frame_cap() {
 /// objects unchanged against the chunked-capable gateway.
 #[test]
 fn old_whole_frame_clients_still_roundtrip_small_objects() {
-    use std::io::{Read, Write};
+    use std::io::Write;
     let (_daemons, gateway, _conn) = spawn_cluster(3);
-    let mut raw = std::net::TcpStream::connect(gateway.addr()).expect("connect");
-    raw.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+    let mut raw = raw_connect(gateway.addr());
     let bytes = payload(30_000, 0x01d);
     let exchange = |raw: &mut std::net::TcpStream, req: &Request| -> Response {
-        let frame = req.encode();
-        raw.write_all(&(frame.len() as u32).to_le_bytes())
-            .expect("header");
-        raw.write_all(&frame).expect("payload");
-        let mut header = [0u8; 4];
-        raw.read_exact(&mut header).expect("response header");
-        let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
-        raw.read_exact(&mut payload).expect("response payload");
-        Response::decode(&payload).expect("decodable response")
+        raw.write_all(&framed(&req.encode())).expect("request");
+        read_response(raw)
     };
     assert_eq!(
         exchange(
@@ -426,29 +418,156 @@ fn poisoned_conn_refuses_further_requests() {
     server.join().expect("fake server");
 }
 
-#[test]
-fn garbage_on_the_wire_gets_a_typed_refusal() {
-    use std::io::{Read, Write};
-    let (_daemons, gateway, _conn) = spawn_cluster(3);
-    // Reach under the Conn abstraction: a well-framed payload that is
-    // not a message (tag 0x7F is unassigned).
-    let mut raw = std::net::TcpStream::connect(gateway.addr()).expect("connect");
+fn raw_connect(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let raw = std::net::TcpStream::connect(addr).expect("connect");
     raw.set_read_timeout(Some(TIMEOUT)).expect("timeout");
-    let garbage = [0x7Fu8, 1, 2, 3];
-    raw.write_all(&(garbage.len() as u32).to_le_bytes())
-        .expect("header");
-    raw.write_all(&garbage).expect("payload");
+    raw.set_nodelay(true).expect("nodelay");
+    raw
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(payload);
+    wire
+}
+
+fn read_response(raw: &mut std::net::TcpStream) -> Response {
+    use std::io::Read;
     let mut header = [0u8; 4];
     raw.read_exact(&mut header).expect("response header");
-    let len = u32::from_le_bytes(header) as usize;
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
     raw.read_exact(&mut payload).expect("response payload");
-    match Response::decode(&payload).expect("decodable refusal") {
+    Response::decode(&payload).expect("decodable response")
+}
+
+fn assert_protocol_refusal(resp: Response) {
+    match resp {
         Response::Err { kind, .. } => assert_eq!(kind, ErrorKind::Protocol),
         other => panic!("expected protocol refusal, got {other:?}"),
     }
-    // And the connection is torn down afterwards: the next read sees
-    // EOF, not a hung socket.
-    let mut rest = Vec::new();
-    assert_eq!(raw.read_to_end(&mut rest).expect("eof"), 0);
+}
+
+/// What any server owes a peer that reaches under the `Conn`
+/// abstraction, whichever plane it serves. `wrong_plane` is a
+/// well-formed request of the *other* plane.
+fn assert_wire_conformance(addr: std::net::SocketAddr, wrong_plane: &Request) {
+    use std::io::{Read, Write};
+    // Input that can never become a request — a well-framed payload
+    // that is not a message (tag 0x7F is unassigned), and a length
+    // prefix past the frame cap — gets a typed refusal, and then the
+    // connection is torn down: the next read sees EOF, not a hung
+    // socket.
+    let oversize = (galloper_net::MAX_FRAME as u32 + 1).to_le_bytes();
+    for unanswerable in [framed(&[0x7F, 1, 2, 3]), oversize.to_vec()] {
+        let mut raw = raw_connect(addr);
+        raw.write_all(&unanswerable).expect("send");
+        assert_protocol_refusal(read_response(&mut raw));
+        let mut rest = Vec::new();
+        assert_eq!(raw.read_to_end(&mut rest).expect("eof"), 0);
+    }
+
+    // A valid request trickling in one byte per write is still one
+    // request.
+    let mut raw = raw_connect(addr);
+    for byte in framed(&Request::Ping.encode()) {
+        raw.write_all(&[byte]).expect("one byte");
+    }
+    assert_eq!(read_response(&mut raw), Response::Ok);
+
+    // A well-formed request for the other plane is refused, typed —
+    // but the frame stream is intact, so the connection lives on.
+    raw.write_all(&framed(&wrong_plane.encode()))
+        .expect("wrong plane");
+    assert_protocol_refusal(read_response(&mut raw));
+    raw.write_all(&framed(&Request::Ping.encode()))
+        .expect("ping");
+    assert_eq!(read_response(&mut raw), Response::Ok);
+}
+
+#[test]
+fn wire_conformance_holds_on_both_planes() {
+    let (daemons, gateway, _conn) = spawn_cluster(3);
+    assert_wire_conformance(
+        daemons[0].addr(),
+        &Request::GetObject {
+            name: "misdirected".into(),
+        },
+    );
+    assert_wire_conformance(
+        gateway.addr(),
+        &Request::GetBlock {
+            key: BlockKey::new(1, 0, 0),
+        },
+    );
+}
+
+/// `kill` is a machine loss on either plane: once it returns, a fresh
+/// client gets no answer.
+#[test]
+fn killed_servers_answer_no_new_client() {
+    let (mut daemons, mut gateway, _conn) = spawn_cluster(3);
+    for server in [&mut daemons[0], &mut gateway] {
+        let addr = server.addr().to_string();
+        let ping = |addr: &str| {
+            let mut conn = Conn::connect(addr, TIMEOUT)?;
+            conn.set_read_timeout(Some(Duration::from_millis(300)))?;
+            conn.call(&Request::Ping)
+        };
+        assert_eq!(ping(&addr).expect("alive"), Response::Ok);
+        server.kill();
+        let answer = ping(&addr);
+        assert!(answer.is_err(), "killed server answered {answer:?}");
+    }
+}
+
+/// A connection that drops in the middle of a chunked upload takes its
+/// staged blocks with it: the gateway's hang-up hook aborts the
+/// transfer and reclaims them from every daemon.
+#[test]
+fn connection_dropped_mid_put_chunk_leaves_no_blocks_behind() {
+    use std::io::Write;
+    let (daemons, gateway, _conn) = spawn_cluster(3);
+    let shelves: Vec<RemoteStore> = daemons
+        .iter()
+        .map(|d| RemoteStore::new(d.addr().to_string()).with_timeout(TIMEOUT))
+        .collect();
+    let held = |shelves: &[RemoteStore]| -> usize {
+        shelves
+            .iter()
+            .map(|s| s.scan_blocks().expect("scan").len())
+            .sum()
+    };
+
+    let mut raw = raw_connect(gateway.addr());
+    let start = Request::PutStart {
+        name: "abandoned".into(),
+        object_len: 1 << 20,
+    };
+    raw.write_all(&framed(&start.encode())).expect("start");
+    let id = match read_response(&mut raw) {
+        Response::PutBegun { id } => id,
+        other => panic!("expected PutBegun, got {other:?}"),
+    };
+    // One whole chunk lands: several coding groups are now staged on
+    // the daemons.
+    let chunk = |seq| Request::PutChunk {
+        id,
+        seq,
+        bytes: payload(64 * 1024, seq),
+    };
+    raw.write_all(&framed(&chunk(0).encode())).expect("chunk 0");
+    assert_eq!(read_response(&mut raw), Response::Ok);
+    assert!(held(&shelves) > 0, "the first chunk staged no blocks");
+    // The second is cut off halfway through its frame.
+    let second = framed(&chunk(1).encode());
+    raw.write_all(&second[..second.len() / 2])
+        .expect("half a chunk");
+    drop(raw);
+
+    // The gateway notices the hang-up on its own schedule.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while held(&shelves) > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(held(&shelves), 0, "staged blocks outlived the connection");
 }

@@ -16,8 +16,7 @@ use std::time::Duration;
 use galloper_codes::{build_code, CodeSpec};
 use galloper_dfs::{Dfs, MemStore};
 use galloper_net::{
-    Conn, Daemon, DaemonHandle, Gateway, GatewayHandle, RemoteStore, Request, Response, Scraper,
-    PROTO_VERSION,
+    Conn, Daemon, Gateway, RemoteStore, Request, Response, Scraper, ServerHandle, PROTO_VERSION,
 };
 use galloper_obs::{global_trace, json, op, Json, RegistrySnapshot};
 
@@ -27,7 +26,7 @@ fn listener() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").expect("bind loopback")
 }
 
-fn spawn_daemons(n: usize) -> (Vec<DaemonHandle>, Vec<RemoteStore>) {
+fn spawn_daemons(n: usize) -> (Vec<ServerHandle>, Vec<RemoteStore>) {
     let mut handles = Vec::new();
     let mut stores = Vec::new();
     for _ in 0..n {
@@ -42,7 +41,7 @@ fn spawn_daemons(n: usize) -> (Vec<DaemonHandle>, Vec<RemoteStore>) {
 fn spawn_cluster(
     n: usize,
     scraper: Option<std::sync::Arc<Scraper>>,
-) -> (Vec<DaemonHandle>, GatewayHandle, Conn) {
+) -> (Vec<ServerHandle>, ServerHandle, Conn) {
     let (daemons, stores) = spawn_daemons(n);
     let code = build_code(&CodeSpec::rs(2, 1, 1024)).expect("code");
     let dfs = Dfs::with_stores(stores, code);

@@ -25,6 +25,20 @@ if grep -nE '\.probe\(|block_count|contains_block' crates/dfs/src/fs.rs; then
   exit 1
 fi
 
+# Both planes run the one server core (crates/net/src/server.rs) and
+# every frame leaves through write_frame_vectored, so a second accept
+# loop or a second frame writer is a regression, not a feature.
+echo "==> one accept loop, one frame writer in galloper-net"
+accept_loops="$(cat crates/net/src/*.rs | grep -c 'incoming()' || true)"
+if [ "$accept_loops" -ne 1 ]; then
+  echo "ci: $accept_loops accept loops in crates/net/src; serve through server.rs"
+  exit 1
+fi
+if grep -rnw 'write_frame' crates src tests; then
+  echo "ci: write_frame is back; write_frame_vectored is the one frame writer"
+  exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
