@@ -9,8 +9,6 @@
 //! Usage: `cargo run -p galloper-bench --release --bin fig7 [-- --json [DIR]]`
 //! Env:   `GALLOPER_BLOCK_MB`      (default 4.5; the paper uses 45)
 //!        `GALLOPER_REPS`          (default 20, as in the paper)
-//!        `GALLOPER_STREAM_GROUPS` (streaming concurrency; default
-//!                                  min(cores, 4))
 //!        `GALLOPER_JSON_OUT`      (directory; write BENCH_fig7.json there)
 
 use galloper_bench::table::{secs, Table};
@@ -24,15 +22,11 @@ fn main() {
     println!("# Fig. 7 — encoding/decoding time vs k");
     println!("block size: {block_mb} MB (paper: 45 MB), {reps} repetitions\n");
 
-    // Overlapping more groups than there are cores is pure thread
-    // overhead, so the default tracks the machine.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let stream_concurrency = env_usize("GALLOPER_STREAM_GROUPS", cores.min(4));
     let stream_groups = 4;
 
     let encode_rows = fig7::encode_times(block_mb, reps);
     let decode_rows = fig7::decode_times(block_mb, reps);
-    let stream_rows = fig7::stream_times(block_mb, reps, stream_groups, stream_concurrency);
+    let stream_rows = fig7::stream_times(block_mb, reps, stream_groups);
 
     println!("## Fig. 7a — encoding");
     let mut t = Table::new(&[
@@ -68,10 +62,7 @@ fn main() {
     }
     println!("{}", t.to_markdown());
 
-    println!(
-        "## Streaming encoder vs one-shot ({}-group Galloper object, {} groups in flight)",
-        stream_groups, stream_concurrency
-    );
+    println!("## Streaming encoder vs one-shot ({stream_groups}-group Galloper object)");
     let mut t = Table::new(&["k", "one-shot (s)", "streaming (s)"]);
     for row in &stream_rows {
         t.row(&[

@@ -143,17 +143,9 @@ pub fn encode_times(block_mb: f64, reps: usize) -> Vec<Fig7Row> {
 
 /// Streaming-vs-one-shot encode of a `groups`-group object through the
 /// `(k, 2, 1)` Galloper code: one-shot materializes every encoded group
-/// before any is "written", the streaming driver holds one batch of
+/// before any is "written", the streaming driver holds one group of
 /// recycled buffers and hands each group to the sink as it completes.
-///
-/// `concurrency` is the number of groups the streaming encoder codes in
-/// flight (the CLI's `GALLOPER_STREAM_GROUPS`).
-pub fn stream_times(
-    block_mb: f64,
-    reps: usize,
-    groups: usize,
-    concurrency: usize,
-) -> Vec<Fig7StreamRow> {
+pub fn stream_times(block_mb: f64, reps: usize, groups: usize) -> Vec<Fig7StreamRow> {
     K_VALUES
         .iter()
         .map(|&k| {
@@ -171,8 +163,7 @@ pub fn stream_times(
                     std::hint::black_box(blocks.last().map(|b| b.len()));
                     Ok(())
                 };
-                let mut encoder =
-                    StripeEncoder::new(codec.code(), sink).with_concurrency(concurrency);
+                let mut encoder = StripeEncoder::new(codec.code(), sink);
                 encoder.push(&data).unwrap();
                 let (manifest, _sink) = encoder.finish().unwrap();
                 std::hint::black_box(manifest);
@@ -300,7 +291,7 @@ mod tests {
 
     #[test]
     fn stream_rows_cover_all_k() {
-        let rows = stream_times(0.01, 1, 3, 2);
+        let rows = stream_times(0.01, 1, 3);
         assert_eq!(rows.len(), K_VALUES.len());
         for (row, &k) in rows.iter().zip(&K_VALUES) {
             assert_eq!(row.k, k);

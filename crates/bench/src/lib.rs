@@ -69,7 +69,7 @@ pub fn json_out_dir_from(args: impl IntoIterator<Item = String>) -> Option<PathB
 /// stderr rather than aborting the benchmark run.
 ///
 /// Every object document is stamped with a `kernel_backend` field naming
-/// the active GF(2⁸) kernel backend (`scalar`/`swar`/`simd`) — kept at
+/// the active GF(2⁸) kernel backend (`scalar`/`simd`) — kept at
 /// the top level for older tooling — plus a [`bench_env`] block (git
 /// revision, kernel backend, worker-pool width, timestamp), so results
 /// gathered on different machines — or under a `GALLOPER_KERNEL`

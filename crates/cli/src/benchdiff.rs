@@ -56,8 +56,6 @@ const IDENTITY: &[&str] = &[
     "multiplier",
     "fig",
     "bench",
-    "io_mode",
-    "stage",
 ];
 
 /// Classifies a JSON object key. Unknown numeric fields are
@@ -72,8 +70,7 @@ pub fn classify(key: &str) -> Class {
         "seed" | "ticks" | "reps" | "block_mb" | "object_kb" | "buffer_bytes" | "servers"
         | "events" | "fan_in" | "k" | "r" | "l" | "g" | "n" | "kernel_backend"
         | "active_backend" | "bench_env" | "git_rev" | "timestamp" | "pool_threads" | "clients"
-        | "rate_target" | "seconds" | "objects" | "object_bytes" | "gateway" | "file_bytes"
-        | "pipeline_mb" | "message_len" | "stream_groups" => Class::Skip,
+        | "rate_target" | "seconds" | "objects" | "object_bytes" | "gateway" => Class::Skip,
         // Raw histogram bucket arrays are pure timing noise bucket by
         // bucket; the summary quantiles next to them carry the signal.
         "buckets" => Class::Skip,
@@ -95,11 +92,7 @@ pub fn classify(key: &str) -> Class {
         // Scrape-summary configuration/capability flags: not signal.
         "supported" | "before_ok" | "after_ok" | "daemons_total" | "interval_ms" => Class::Skip,
         // Throughput and efficiency figures: higher is better.
-        "gbps" | "xor_gbps" | "mbps" => Class::Gate(Direction::HigherIsBetter),
-        // The kernel-to-disk gap ratio is a quotient of two throughputs
-        // on the same machine, so it is *less* machine-dependent than
-        // either number alone: gate it (lower = closer to the kernel).
-        "gap_x" => Class::Gate(Direction::LowerIsBetter),
+        "gbps" | "xor_gbps" => Class::Gate(Direction::HigherIsBetter),
         k if k.ends_with("_read_mb") => Class::Gate(Direction::LowerIsBetter),
         k if k.ends_with("_mbps") => Class::Gate(Direction::HigherIsBetter),
         k if k.ends_with("_gbps") || k.contains("speedup") || k.ends_with("_savings") => {
@@ -589,58 +582,6 @@ mod tests {
         let report = diff(&base, &swapped);
         assert!(report.regressions(0.0).is_empty(), "{report:?}");
         assert!(report.notes.is_empty());
-    }
-
-    #[test]
-    fn pipeline_rows_match_by_io_mode_and_stage_and_gate_mbps() {
-        let row = |mode: &str, stage: &str, mbps: f64| {
-            Json::object()
-                .field("io_mode", mode)
-                .field("stage", stage)
-                .field("mbps", mbps)
-        };
-        let doc = |read: f64, e2e: f64| {
-            Json::object()
-                .field("bench", "pipeline")
-                .field("pipeline_mb", 8u64)
-                .field("file_bytes", 8u64 << 20)
-                .field(
-                    "rows",
-                    Json::Arr(vec![row("mmap", "read", read), row("mmap", "e2e", e2e)]),
-                )
-        };
-        // Row identity includes io_mode + stage, so reordering is quiet
-        // and mbps gates in the higher-is-better direction.
-        let base = doc(4000.0, 900.0);
-        let mut swapped = doc(4000.0, 900.0);
-        if let Json::Obj(fields) = &mut swapped {
-            for (k, v) in fields.iter_mut() {
-                if k == "rows" {
-                    if let Json::Arr(rows) = v {
-                        rows.reverse();
-                    }
-                }
-            }
-        }
-        assert!(diff(&base, &swapped).notes.is_empty());
-        assert!(diff(&base, &swapped).regressions(0.0).is_empty());
-
-        let slower = doc(4000.0, 500.0); // e2e -44%
-        let regs = diff(&base, &slower);
-        let regs = regs.regressions(0.30);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].path.contains("e2e"));
-
-        // Config keys never gate.
-        for key in ["pipeline_mb", "file_bytes", "message_len", "stream_groups"] {
-            assert_eq!(classify(key), Class::Skip, "{key}");
-        }
-        assert_eq!(classify("mbps"), Class::Gate(Direction::HigherIsBetter));
-        assert_eq!(
-            classify("encode_mbps"),
-            Class::Gate(Direction::HigherIsBetter)
-        );
-        assert_eq!(classify("gap_x"), Class::Gate(Direction::LowerIsBetter));
     }
 
     #[test]

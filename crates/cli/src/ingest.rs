@@ -1,19 +1,15 @@
-//! File-ingest strategies for the zero-copy encode pipeline.
+//! Read-only file mappings for the zero-copy encode pipeline.
 //!
-//! `galloper encode` feeds whole coding groups straight from the source
-//! file into the [`StripeEncoder`](galloper_erasure::stream::StripeEncoder)
-//! with no intermediate staging copy. How the source bytes become
-//! message-sized slices is the [`IoMode`], selected by the
-//! `GALLOPER_IO_MODE` environment variable:
-//!
-//! | value | strategy |
-//! |---|---|
-//! | `mmap` (default) | map the file read-only ([`Mmap`]) and encode directly out of the page cache |
-//! | `read` | `read(2)` into one recycled page-aligned buffer, encode out of it |
-//! | `buffered` | the pre-zero-copy path: 1 MiB chunks staged into pooled message buffers |
-//!
-//! `mmap` falls back to `read` automatically when mapping is unavailable
-//! (non-Unix target, empty file, or a filesystem that refuses to map).
+//! `galloper encode` ([`crate::encode_file`]) feeds whole coding groups
+//! straight from the source file into the
+//! [`StripeEncoder`](galloper_erasure::stream::StripeEncoder) with no
+//! intermediate staging copy. A regular, non-empty input is mapped
+//! read-only ([`Mmap`]) and encoded directly out of the page cache;
+//! whenever that cannot work — a pipe or procfs file (length 0), a
+//! filesystem that refuses to map, a non-Unix or 32-bit target —
+//! `encode_file` reads the input to EOF through one recycled
+//! page-aligned buffer instead. The choice is made from the input, not
+//! by an option, and both arms write identical bytes.
 //!
 //! This module owns the crate's only `unsafe` code (crate policy:
 //! `deny(unsafe_code)` with a written safety argument at every allowed
@@ -21,67 +17,6 @@
 //! the workspace deliberately carries no FFI-binding dependency — and
 //! are confined to 64-bit Unix targets where the declared ABI
 //! (`off_t` = `i64`) is correct.
-
-/// How `encode` moves bytes from the source file into the encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Memory-map the input and encode directly from the mapping.
-    Mmap,
-    /// `read(2)` into a recycled page-aligned buffer and encode from it.
-    Read,
-    /// Stage through the encoder's pooled message buffers in 1 MiB
-    /// chunks (the pre-zero-copy behaviour, kept as the comparison
-    /// baseline and for exotic non-seekable inputs).
-    Buffered,
-}
-
-impl IoMode {
-    /// Parses a `GALLOPER_IO_MODE` value.
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "mmap" => Some(IoMode::Mmap),
-            "read" => Some(IoMode::Read),
-            "buffered" => Some(IoMode::Buffered),
-            _ => None,
-        }
-    }
-
-    /// The wire/env name of this mode.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoMode::Mmap => "mmap",
-            IoMode::Read => "read",
-            IoMode::Buffered => "buffered",
-        }
-    }
-
-    /// The mode selected by `GALLOPER_IO_MODE`, defaulting to [`IoMode::Mmap`]
-    /// where mapping is supported and [`IoMode::Read`] elsewhere.
-    /// Unrecognized values warn to stderr and use the default.
-    pub fn from_env() -> IoMode {
-        let default = if mmap_supported() {
-            IoMode::Mmap
-        } else {
-            IoMode::Read
-        };
-        match std::env::var("GALLOPER_IO_MODE") {
-            Ok(v) => IoMode::parse(&v).unwrap_or_else(|| {
-                eprintln!(
-                    "galloper: GALLOPER_IO_MODE={v:?} is not one of \
-                     mmap|read|buffered; using {}",
-                    default.as_str()
-                );
-                default
-            }),
-            Err(_) => default,
-        }
-    }
-}
-
-/// Whether [`Mmap::map`] can succeed on this target.
-pub fn mmap_supported() -> bool {
-    cfg!(all(unix, target_pointer_width = "64"))
-}
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod sys {
@@ -200,7 +135,7 @@ mod sys {
 pub use sys::Mmap;
 
 /// Stub for targets without mapping support: [`Mmap::map`] always
-/// reports unsupported, and callers fall back to [`IoMode::Read`].
+/// reports unsupported, and `encode_file` reads the input instead.
 #[cfg(not(all(unix, target_pointer_width = "64")))]
 #[derive(Debug)]
 pub struct Mmap {}
@@ -222,26 +157,12 @@ impl Mmap {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix, target_pointer_width = "64"))]
 mod tests {
     use super::*;
-    #[cfg(all(unix, target_pointer_width = "64"))]
     use std::fs;
-    #[cfg(all(unix, target_pointer_width = "64"))]
     use std::io::Write as _;
 
-    #[test]
-    fn io_mode_parses_and_defaults() {
-        assert_eq!(IoMode::parse("mmap"), Some(IoMode::Mmap));
-        assert_eq!(IoMode::parse("READ"), Some(IoMode::Read));
-        assert_eq!(IoMode::parse("Buffered"), Some(IoMode::Buffered));
-        assert_eq!(IoMode::parse("directio"), None);
-        for mode in [IoMode::Mmap, IoMode::Read, IoMode::Buffered] {
-            assert_eq!(IoMode::parse(mode.as_str()), Some(mode));
-        }
-    }
-
-    #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn mmap_reflects_file_contents_and_handles_empty() {
         let path = std::env::temp_dir().join(format!("galloper-mmap-{}", std::process::id()));

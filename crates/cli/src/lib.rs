@@ -28,9 +28,7 @@ pub mod serve;
 pub mod stat;
 
 pub use galloper_codes::{build_code, BoxedCode, BuildError, CodeSpec};
-pub use ingest::IoMode;
 pub use manifest::{Manifest, ManifestError};
 pub use ops::{
-    check, decode_file, encode_file, encode_file_with_mode, fsck, inspect, repair_block,
-    BlockFileSink, CliError,
+    check, decode_file, encode_file, fsck, inspect, repair_block, BlockFileSink, CliError,
 };

@@ -8,37 +8,37 @@
 //! Every operation is streaming: the object flows through the
 //! [`galloper_erasure::stream`] drivers one coding group at a time, so
 //! peak memory is a handful of group-sized buffers regardless of the
-//! object's size. `GALLOPER_STREAM_GROUPS=N` overlaps N groups across
-//! threads during encode (default 1: each group's encode already fans
-//! its rows across threads internally).
+//! object's size. One group is in flight at a time; its encode fans its
+//! rows across threads internally.
 //!
 //! Encode runs the zero-copy pipeline: source bytes enter the encoder
-//! straight from a file mapping or a page-aligned read buffer
-//! (`GALLOPER_IO_MODE`, see [`crate::ingest`]), and each batch of
-//! encoded groups leaves through **one vectored write per block file**
-//! ([`BlockFileSink`]). The stages feed the `pipeline.*` metrics:
+//! straight from a file mapping ([`crate::ingest::Mmap`]) when the input
+//! is a regular, non-empty file the kernel agrees to map, and from one
+//! recycled page-aligned read buffer otherwise (pipes, procfs, targets
+//! without `mmap`); each encoded group leaves through **one write per
+//! block file** ([`BlockFileSink`]). The stages feed the `pipeline.*`
+//! metrics:
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
 //! | `pipeline.bytes_in` | counter | source bytes entering encode |
 //! | `pipeline.bytes_out` | counter | encoded bytes written to block files |
-//! | `pipeline.read_us` | histogram | per-batch source read latency (`read`/`buffered` modes) |
-//! | `pipeline.write_us` | histogram | per-batch vectored block-file write latency |
+//! | `pipeline.read_us` | histogram | per-message source read latency (unmapped inputs only) |
+//! | `pipeline.write_us` | histogram | per-group block-file write latency |
 
 use std::fs;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use galloper_codes::BuildError;
 use galloper_erasure::stream::{
-    write_all_vectored, AlignedBuf, GroupSink, StreamError, StripeDecoder, StripeEncoder,
-    StripeReconstructor,
+    AlignedBuf, GroupSink, StreamError, StripeDecoder, StripeEncoder, StripeReconstructor,
 };
 use galloper_erasure::{ErasureCode, ObjectManifest};
 use galloper_obs::{counter, global};
 
-use crate::ingest::{IoMode, Mmap};
+use crate::ingest::Mmap;
 use crate::{build_code, CodeSpec, Manifest, ManifestError};
 
 use core::fmt;
@@ -150,25 +150,9 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("object.manifest")
 }
 
-/// Groups to overlap across threads during streaming encode
-/// (`GALLOPER_STREAM_GROUPS`, default 1).
-fn stream_groups() -> usize {
-    std::env::var("GALLOPER_STREAM_GROUPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(1)
-}
-
-/// Bytes read from the input file per `push` in
-/// [`IoMode::Buffered`] — independent of the code's message size, so
-/// CLI memory stays flat for any code.
-const READ_CHUNK: usize = 1 << 20;
-
-/// A [`GroupSink`] writing each block's bytes to its own file, one
-/// **vectored syscall per block file per batch**: a batch of `B` encoded
-/// groups costs `num_blocks` `writev(2)` calls, not `B × num_blocks`
-/// buffered copies. Feeds `pipeline.bytes_out` / `pipeline.write_us`.
+/// A [`GroupSink`] appending each block's bytes to its own file — one
+/// unbuffered `write` per block file per group. Feeds
+/// `pipeline.bytes_out` / `pipeline.write_us`.
 #[derive(Debug)]
 pub struct BlockFileSink {
     files: Vec<fs::File>,
@@ -211,123 +195,62 @@ impl GroupSink for BlockFileSink {
             .record(t0.elapsed().as_micros() as u64);
         Ok(())
     }
-
-    fn batch(&mut self, _first_group: usize, groups: &[Vec<AlignedBuf>]) -> Result<(), io::Error> {
-        let t0 = Instant::now();
-        let mut bytes = 0u64;
-        for (b, file) in self.files.iter_mut().enumerate() {
-            let mut slices: Vec<IoSlice<'_>> = groups
-                .iter()
-                .map(|blocks| IoSlice::new(&blocks[b]))
-                .collect();
-            bytes += slices.iter().map(|s| s.len() as u64).sum::<u64>();
-            write_all_vectored(file, &mut slices)?;
-        }
-        counter!("pipeline.bytes_out", bytes);
-        global()
-            .histogram("pipeline.write_us")
-            .record(t0.elapsed().as_micros() as u64);
-        Ok(())
-    }
 }
 
 /// Encodes `input` into `out_dir` with the given code, writing one block
 /// file per block and a manifest. Returns the manifest.
 ///
-/// The ingest strategy comes from `GALLOPER_IO_MODE` (see
-/// [`crate::ingest::IoMode::from_env`]); everything else is
-/// [`encode_file_with_mode`].
+/// The input streams through a [`StripeEncoder`] one coding group at a
+/// time. A regular, non-empty file the kernel agrees to map is encoded
+/// directly out of the mapping ([`StripeEncoder::push_messages`] — zero
+/// staging copies). Anything else — a pipe, a procfs file (which reports
+/// length 0), a file that refuses to map, any file on a target without
+/// `mmap` — is read to EOF through one recycled page-aligned buffer.
+/// Both arms write identical bytes, and peak memory is a few coding
+/// groups regardless of input size.
 ///
 /// # Errors
 ///
 /// [`CliError`] on invalid spec, I/O failure, or coding failure.
 pub fn encode_file(input: &Path, out_dir: &Path, spec: &CodeSpec) -> Result<Manifest, CliError> {
-    encode_file_with_mode(input, out_dir, spec, IoMode::from_env())
-}
-
-/// [`encode_file`] with an explicit ingest mode — the entry point for
-/// tests and benchmarks that must pin the mode regardless of the
-/// environment.
-///
-/// The input streams through a [`StripeEncoder`] one coding group at a
-/// time. In `mmap` mode whole messages are encoded directly out of the
-/// file mapping ([`StripeEncoder::push_messages`] — zero staging
-/// copies); `read` mode stages batches through one recycled page-aligned
-/// buffer; `buffered` preserves the original copy-through-the-pool path.
-/// Encoded batches leave through [`BlockFileSink`], one vectored write
-/// per block file. Peak memory is a few coding groups regardless of
-/// input size in every mode.
-///
-/// # Errors
-///
-/// [`CliError`] on invalid spec, I/O failure, or coding failure.
-pub fn encode_file_with_mode(
-    input: &Path,
-    out_dir: &Path,
-    spec: &CodeSpec,
-    mode: IoMode,
-) -> Result<Manifest, CliError> {
     let code = build_code(spec)?;
     fs::create_dir_all(out_dir)?;
     let sink = BlockFileSink::create(out_dir, code.num_blocks())?;
-    let groups = stream_groups();
-    let mut encoder = StripeEncoder::new(&code, sink).with_concurrency(groups);
+    let mut encoder = StripeEncoder::new(&code, sink);
     let message_len = code.message_len();
-    let read_hist = global().histogram("pipeline.read_us");
+    // Whole messages encode straight out of `bytes`; only a ragged tail
+    // is staged by `push`.
+    let mut ingest = |bytes: &[u8]| {
+        counter!("pipeline.bytes_in", bytes.len() as u64);
+        let whole = bytes.chunks_exact(message_len);
+        let tail = whole.remainder();
+        let msgs: Vec<&[u8]> = whole.collect();
+        encoder.push_messages(&msgs)?;
+        encoder.push(tail)
+    };
     let mut file = fs::File::open(input)?;
 
-    // `mmap` silently degrades to `read` where mapping cannot work; the
-    // encoded bytes are identical in every mode.
-    let mode = match mode {
-        IoMode::Mmap if !crate::ingest::mmap_supported() => IoMode::Read,
-        m => m,
+    // `map` answers `None` for length 0, which is also what pipes and
+    // procfs report whatever they hold; a refused mapping is not an
+    // error either, because reading always works.
+    let mapped = if file.metadata()?.is_file() {
+        Mmap::map(&file).ok().flatten()
+    } else {
+        None
     };
-    match mode {
-        IoMode::Mmap => {
-            // `map` returns `None` for an empty file; `finish` below
-            // then emits the single all-zero group.
-            if let Some(map) = Mmap::map(&file)? {
-                let bytes = map.as_slice();
-                counter!("pipeline.bytes_in", bytes.len() as u64);
-                let whole = bytes.chunks_exact(message_len);
-                let tail = whole.remainder();
-                let msgs: Vec<&[u8]> = whole.collect();
-                encoder.push_messages(&msgs)?;
-                encoder.push(tail)?;
+    if let Some(map) = mapped {
+        ingest(map.as_slice())?;
+    } else {
+        let read_hist = global().histogram("pipeline.read_us");
+        let mut buf = AlignedBuf::zeroed(message_len);
+        loop {
+            let t0 = Instant::now();
+            let filled = read_full(&mut file, &mut buf)?;
+            read_hist.record(t0.elapsed().as_micros() as u64);
+            if filled == 0 {
+                break;
             }
-        }
-        IoMode::Read => {
-            // One aligned buffer holding a whole batch of messages; full
-            // messages encode straight out of it (no per-message copy),
-            // and only the final ragged tail goes through `push`.
-            let mut buf = AlignedBuf::zeroed(message_len.saturating_mul(groups.max(1)));
-            loop {
-                let t0 = Instant::now();
-                let filled = read_full(&mut file, &mut buf)?;
-                read_hist.record(t0.elapsed().as_micros() as u64);
-                if filled == 0 {
-                    break;
-                }
-                counter!("pipeline.bytes_in", filled as u64);
-                let whole = buf[..filled].chunks_exact(message_len);
-                let tail = whole.remainder();
-                let msgs: Vec<&[u8]> = whole.collect();
-                encoder.push_messages(&msgs)?;
-                encoder.push(tail)?;
-            }
-        }
-        IoMode::Buffered => {
-            let mut chunk = vec![0u8; READ_CHUNK];
-            loop {
-                let t0 = Instant::now();
-                let read = file.read(&mut chunk)?;
-                read_hist.record(t0.elapsed().as_micros() as u64);
-                if read == 0 {
-                    break;
-                }
-                counter!("pipeline.bytes_in", read as u64);
-                encoder.push(&chunk[..read])?;
-            }
+            ingest(&buf[..filled])?;
         }
     }
     let (object, sink) = encoder.finish()?;

@@ -2,10 +2,10 @@
 //!
 //! Every [`ErasureCode`] consumes messages of one fixed length, so a
 //! multi-gigabyte object is a *sequence* of coding groups — and nothing
-//! about coding requires more than one group (per worker thread) to be
-//! resident at a time. The paper's Hadoop prototype (§VI) exploits
-//! exactly this, pumping HDFS files through a fixed-size buffer; the
-//! drivers here are the Rust analogue:
+//! about coding requires more than one group to be resident at a time.
+//! The paper's Hadoop prototype (§VI) exploits exactly this, pumping
+//! HDFS files through a fixed-size buffer; the drivers here are the Rust
+//! analogue:
 //!
 //! * [`StripeEncoder`] — push arbitrary-sized byte chunks, receive fully
 //!   encoded coding groups through a [`GroupSink`] as soon as each is
@@ -19,19 +19,17 @@
 //! Block and message buffers are page-aligned [`AlignedBuf`]s recycled
 //! through a size-classed [`AlignedPool`], so a steady-state encode
 //! performs **no per-group allocation**: peak codec memory is
-//! `O(one coding group × groups in flight)` regardless of the object's
-//! size. Callers that already hold whole messages contiguously in memory
-//! (a mapped file, an aligned read buffer) can skip the staging copy
-//! entirely with [`StripeEncoder::push_messages`], which encodes
-//! straight out of the caller's bytes. On the output side, sinks receive
-//! whole batches ([`GroupSink::batch`]) so they can turn a batch of
-//! groups into one vectored write per destination;
-//! [`write_all_vectored`] is the shared syscall loop for doing so.
-//! [`StripeEncoder::with_concurrency`] additionally
-//! overlaps whole groups across the persistent worker pool
-//! ([`galloper_linalg::pool::global_pool`]) — no per-group thread spawns;
-//! each group's encode already fans its output rows across the same pool
-//! via [`galloper_linalg::apply_parallel_into`].
+//! `O(one coding group)` regardless of the object's size. Callers that
+//! already hold whole messages contiguously in memory (a mapped file, an
+//! aligned read buffer) can skip the staging copy entirely with
+//! [`StripeEncoder::push_messages`], which encodes straight out of the
+//! caller's bytes. Exactly one group is in flight: its encode already
+//! fans its output rows across the persistent worker pool
+//! ([`galloper_linalg::pool::global_pool`]) via
+//! [`galloper_linalg::apply_parallel_into`], so overlapping whole groups
+//! on that same pool only adds contention. [`write_all_vectored`] is the
+//! shared syscall loop for sinks and stores that gather several buffers
+//! into one write.
 //!
 //! The drivers feed the global [`galloper_obs`] registry:
 //!
@@ -65,9 +63,8 @@ mod aligned;
 pub use aligned::{size_class, AlignedBuf, AlignedPool, PAGE_ALIGN};
 
 /// Writes every byte of `slices` to `w` with as few syscalls as the
-/// writer allows — the shared vectored-write loop for the zero-copy
-/// pipeline (block files, `DiskStore` records, network frames). The
-/// slices are consumed in place.
+/// writer allows — the shared vectored-write loop (`DiskStore` records,
+/// network frames). The slices are consumed in place.
 ///
 /// # Errors
 ///
@@ -182,22 +179,6 @@ pub trait GroupSink {
     /// Any sink-specific failure; the encoder surfaces it as
     /// [`StreamError::Sink`] and stops.
     fn group(&mut self, group: usize, blocks: &[AlignedBuf]) -> Result<(), Self::Error>;
-
-    /// Accepts a contiguous batch of groups — `groups[i]` is coding
-    /// group `first_group + i`. The encoder delivers whole batches so a
-    /// sink can coalesce them (e.g. one vectored write per block file
-    /// covering every group in the batch); the default simply calls
-    /// [`GroupSink::group`] once per group.
-    ///
-    /// # Errors
-    ///
-    /// As [`GroupSink::group`].
-    fn batch(&mut self, first_group: usize, groups: &[Vec<AlignedBuf>]) -> Result<(), Self::Error> {
-        for (i, blocks) in groups.iter().enumerate() {
-            self.group(first_group + i, blocks)?;
-        }
-        Ok(())
-    }
 }
 
 impl<F, E> GroupSink for F
@@ -211,67 +192,6 @@ where
     }
 }
 
-/// How a batch of full messages is encoded into per-group block buffers.
-///
-/// Chosen once at construction: the serial strategy works for any code;
-/// the overlapped strategy (selected by [`StripeEncoder::with_concurrency`])
-/// requires `C: Sync` and encodes the batch's groups on the persistent
-/// [`galloper_linalg::pool::global_pool`] workers. Messages arrive as
-/// plain byte slices, so the same path serves pooled buffers and
-/// zero-copy views into caller memory ([`StripeEncoder::push_messages`]).
-type BatchFn<C> = fn(&C, &[&[u8]], &mut [Vec<AlignedBuf>]) -> Result<(), CodeError>;
-
-fn encode_one_group<C: ErasureCode>(
-    code: &C,
-    msg: &[u8],
-    blocks: &mut [AlignedBuf],
-) -> Result<(), CodeError> {
-    let _span = group_span("stream.encode_group");
-    let t0 = Instant::now();
-    let mut views: Vec<&mut [u8]> = blocks.iter_mut().map(|b| b.as_mut_slice()).collect();
-    code.encode_into(msg, &mut views)?;
-    group_hist().record(t0.elapsed().as_micros() as u64);
-    Ok(())
-}
-
-fn encode_batch_serial<C: ErasureCode>(
-    code: &C,
-    batch: &[&[u8]],
-    outs: &mut [Vec<AlignedBuf>],
-) -> Result<(), CodeError> {
-    for (msg, blocks) in batch.iter().zip(outs.iter_mut()) {
-        encode_one_group(code, msg, blocks)?;
-    }
-    Ok(())
-}
-
-fn encode_batch_parallel<C: ErasureCode + Sync>(
-    code: &C,
-    batch: &[&[u8]],
-    outs: &mut [Vec<AlignedBuf>],
-) -> Result<(), CodeError> {
-    if batch.len() <= 1 {
-        return encode_batch_serial(code, batch, outs);
-    }
-    // One result slot per group; the pool's workers (which persist across
-    // batches — no per-group thread spawns) fill them in place. A group's
-    // encode may itself fan rows across the same pool; the pool's
-    // help-while-wait scheduling makes that nesting deadlock-free.
-    let mut results: Vec<Result<(), CodeError>> = batch.iter().map(|_| Ok(())).collect();
-    let tasks: Vec<galloper_linalg::pool::ScopedTask<'_>> = batch
-        .iter()
-        .zip(outs.iter_mut())
-        .zip(results.iter_mut())
-        .map(|((msg, blocks), slot)| {
-            Box::new(move || {
-                *slot = encode_one_group(code, msg, blocks);
-            }) as galloper_linalg::pool::ScopedTask<'_>
-        })
-        .collect();
-    galloper_linalg::pool::global_pool().run(tasks);
-    results.into_iter().collect()
-}
-
 /// Incremental encoder: pushes an arbitrary-length object through a
 /// fixed-message [`ErasureCode`] one coding group at a time.
 ///
@@ -282,11 +202,11 @@ fn encode_batch_parallel<C: ErasureCode + Sync>(
 /// aligned read buffer) should use [`StripeEncoder::push_messages`]
 /// instead, which encodes directly from the caller's bytes — no staging
 /// copy at all. [`StripeEncoder::finish`] zero-pads the ragged tail (the
-/// one place in the workspace where padding happens), flushes, and
-/// returns the [`ObjectManifest`].
+/// one place in the workspace where padding happens) and returns the
+/// [`ObjectManifest`].
 ///
-/// Peak memory is `O(message + codeword)` per group in flight — constant
-/// in the object's length.
+/// One group is in flight at a time, so peak memory is
+/// `O(message + codeword)` — constant in the object's length.
 ///
 /// # Examples
 ///
@@ -311,29 +231,24 @@ fn encode_batch_parallel<C: ErasureCode + Sync>(
 pub struct StripeEncoder<'c, C, S> {
     code: &'c C,
     sink: S,
-    batch_fn: BatchFn<C>,
-    concurrency: usize,
     pool: AlignedPool,
     pending: Option<AlignedBuf>,
     fill: usize,
-    batch: Vec<AlignedBuf>,
     object_len: usize,
     groups_emitted: usize,
 }
 
 impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
-    /// A serial encoder (one group in flight). Each group's encode still
-    /// fans its output rows across threads inside the code itself.
+    /// An encoder delivering each completed group to `sink`. Each
+    /// group's encode fans its output rows across threads inside the
+    /// code itself.
     pub fn new(code: &'c C, sink: S) -> Self {
         StripeEncoder {
             code,
             sink,
-            batch_fn: encode_batch_serial::<C>,
-            concurrency: 1,
             pool: AlignedPool::new(),
             pending: None,
             fill: 0,
-            batch: Vec::new(),
             object_len: 0,
             groups_emitted: 0,
         }
@@ -400,10 +315,7 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
             if self.fill == msg_len {
                 let full = self.pending.take().expect("pending message exists");
                 self.fill = 0;
-                self.batch.push(full);
-                if self.batch.len() >= self.concurrency {
-                    self.flush()?;
-                }
+                self.encode_staged(full)?;
             }
         }
         Ok(())
@@ -432,11 +344,9 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
             }
             return Ok(());
         }
-        // Deliver any staged full messages first so groups stay ordered.
-        self.flush()?;
-        for chunk in messages.chunks(self.concurrency.max(1)) {
-            self.encode_batch(chunk)?;
-            self.object_len += chunk.iter().map(|m| m.len()).sum::<usize>();
+        for msg in messages {
+            self.encode_group(msg)?;
+            self.object_len += msg.len();
         }
         Ok(())
     }
@@ -444,8 +354,7 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
     /// Zero-pads and emits the ragged tail (an empty object still
     /// occupies one all-zero group, exactly as
     /// [`ObjectCodec::encode_object`](crate::ObjectCodec::encode_object)
-    /// does), flushes everything in flight, and returns the manifest
-    /// along with the sink.
+    /// does) and returns the manifest along with the sink.
     ///
     /// # Errors
     ///
@@ -455,8 +364,7 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
         // A resumed encoder (`with_first_group` > 0) that received no
         // bytes has nothing to pad: only a genuinely empty *object*
         // earns the single all-zero group.
-        let empty_object =
-            self.object_len == 0 && self.batch.is_empty() && self.groups_emitted == 0;
+        let empty_object = self.object_len == 0 && self.groups_emitted == 0;
         if tail_pending || empty_object {
             let mut pending = match self.pending.take() {
                 Some(buf) => buf,
@@ -466,9 +374,8 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
             // be dirty, so the unfilled remainder is zeroed here.
             pending[self.fill..].fill(0);
             self.fill = 0;
-            self.batch.push(pending);
+            self.encode_staged(pending)?;
         }
-        self.flush()?;
         let manifest = ObjectManifest {
             object_len: self.object_len,
             num_groups: self.groups_emitted,
@@ -476,69 +383,46 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
         Ok((manifest, self.sink))
     }
 
-    /// Encodes and delivers the staged full messages, returning their
-    /// buffers to the pool.
-    fn flush(&mut self) -> Result<(), StreamError<S::Error>> {
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        let batch = std::mem::take(&mut self.batch);
-        let views: Vec<&[u8]> = batch.iter().map(|m| m.as_slice()).collect();
-        let res = self.encode_batch(&views);
-        drop(views);
-        for msg in batch {
-            self.pool.give_back(msg);
-        }
+    /// Encodes and delivers one staged message, returning its buffer to
+    /// the pool.
+    fn encode_staged(&mut self, msg: AlignedBuf) -> Result<(), StreamError<S::Error>> {
+        let res = self.encode_group(&msg);
+        self.pool.give_back(msg);
         res
     }
 
-    /// Encodes `msgs` (one coding group each) into pooled block buffers
-    /// and delivers them to the sink as one batch.
-    fn encode_batch(&mut self, msgs: &[&[u8]]) -> Result<(), StreamError<S::Error>> {
-        if msgs.is_empty() {
-            return Ok(());
-        }
-        let n = self.code.num_blocks();
+    /// Encodes `msg` (one coding group) into pooled block buffers and
+    /// delivers them to the sink.
+    fn encode_group(&mut self, msg: &[u8]) -> Result<(), StreamError<S::Error>> {
         let block_len = self.code.block_len();
-        let mut outs: Vec<Vec<AlignedBuf>> = msgs
-            .iter()
-            .map(|_| (0..n).map(|_| self.pool.checkout(block_len)).collect())
+        let mut blocks: Vec<AlignedBuf> = (0..self.code.num_blocks())
+            .map(|_| self.pool.checkout(block_len))
             .collect();
-        let encoded = (self.batch_fn)(self.code, msgs, &mut outs);
-        let delivered = match encoded {
+        let delivered = match self.timed_encode(msg, &mut blocks) {
             Ok(()) => {
-                counter!("stream.groups", msgs.len());
+                counter!("stream.groups", 1);
                 self.sink
-                    .batch(self.groups_emitted, &outs)
+                    .group(self.groups_emitted, &blocks)
                     .map_err(StreamError::Sink)
             }
             Err(e) => Err(StreamError::Code(e)),
         };
-        for blocks in outs {
-            for b in blocks {
-                self.pool.give_back(b);
-            }
+        for b in blocks {
+            self.pool.give_back(b);
         }
         delivered?;
-        self.groups_emitted += msgs.len();
+        self.groups_emitted += 1;
         Ok(())
     }
-}
 
-impl<'c, C: ErasureCode + Sync, S: GroupSink> StripeEncoder<'c, C, S> {
-    /// Overlaps up to `groups` coding groups across the persistent
-    /// worker pool ([`galloper_linalg::pool::global_pool`]).
-    ///
-    /// Peak memory grows to `O(one coding group × groups)`. Note each
-    /// group's encode may itself be multi-threaded (the
-    /// [`galloper_linalg::apply_parallel`] machinery, sharing the same
-    /// pool), so modest values — 2 to 4 — are usually enough to hide
-    /// per-group latency.
-    #[must_use]
-    pub fn with_concurrency(mut self, groups: usize) -> Self {
-        self.concurrency = groups.max(1);
-        self.batch_fn = encode_batch_parallel::<C>;
-        self
+    /// The code's `encode_into` under the per-group span and histogram.
+    fn timed_encode(&self, msg: &[u8], blocks: &mut [AlignedBuf]) -> Result<(), CodeError> {
+        let _span = group_span("stream.encode_group");
+        let t0 = Instant::now();
+        let mut views: Vec<&mut [u8]> = blocks.iter_mut().map(|b| b.as_mut_slice()).collect();
+        self.code.encode_into(msg, &mut views)?;
+        group_hist().record(t0.elapsed().as_micros() as u64);
+        Ok(())
     }
 }
 
@@ -742,7 +626,6 @@ mod tests {
     fn collect_groups(
         code: &LinearCode,
         data: &[u8],
-        concurrency: usize,
         chunk: usize,
     ) -> (ObjectManifest, Vec<Vec<Vec<u8>>>) {
         let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
@@ -751,7 +634,7 @@ mod tests {
             groups.push(blocks.iter().map(|b| b.to_vec()).collect());
             Ok(())
         };
-        let mut enc = StripeEncoder::new(code, sink).with_concurrency(concurrency);
+        let mut enc = StripeEncoder::new(code, sink);
         for piece in data.chunks(chunk.max(1)) {
             enc.push(piece).unwrap();
         }
@@ -766,13 +649,11 @@ mod tests {
         for len in [0usize, 1, 7, 8, 9, 16, 17, 100] {
             let data: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
             let oneshot = codec.encode_object(&data).unwrap();
-            for concurrency in [1, 3] {
-                for chunk in [1, 3, 8, 64] {
-                    let (manifest, groups) = collect_groups(&code, &data, concurrency, chunk);
-                    assert_eq!(manifest.object_len, oneshot.manifest.object_len);
-                    assert_eq!(manifest.num_groups, oneshot.manifest.num_groups);
-                    assert_eq!(groups, oneshot.groups, "len={len} chunk={chunk}");
-                }
+            for chunk in [1, 3, 8, 64] {
+                let (manifest, groups) = collect_groups(&code, &data, chunk);
+                assert_eq!(manifest.object_len, oneshot.manifest.object_len);
+                assert_eq!(manifest.num_groups, oneshot.manifest.num_groups);
+                assert_eq!(groups, oneshot.groups, "len={len} chunk={chunk}");
             }
         }
     }
@@ -784,7 +665,7 @@ mod tests {
         let sink = |_: usize, _: &[AlignedBuf]| -> Result<(), core::convert::Infallible> { Ok(()) };
         let mut enc = StripeEncoder::new(&code, sink);
         enc.push(&data).unwrap();
-        // Serial: exactly one message buffer and one codeword's blocks,
+        // Exactly one message buffer and one codeword's blocks,
         // ever, despite 100 groups (message and block buffers share the
         // 4 KiB size class, so the bound is one group's worth of buffers).
         assert_eq!(enc.pool().allocated(), 1 + code.num_blocks() as u64);
@@ -794,53 +675,37 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pool_residency_scales_with_concurrency() {
-        let code = xor_code(4);
-        let data: Vec<u8> = (0..800).map(|i| (i * 7) as u8).collect();
-        let sink = |_: usize, _: &[AlignedBuf]| -> Result<(), core::convert::Infallible> { Ok(()) };
-        let mut enc = StripeEncoder::new(&code, sink).with_concurrency(4);
-        enc.push(&data).unwrap();
-        let (_, _) = {
-            let e = enc;
-            assert!(e.pool().allocated() <= (4 + 1) * (code.num_blocks() as u64 + 1));
-            e.finish().unwrap()
-        };
-    }
-
-    #[test]
     fn push_messages_matches_push_and_skips_staging() {
         let code = xor_code(4); // message_len = 8
         let data: Vec<u8> = (0..100).map(|i| (i * 31 + 2) as u8).collect();
-        for concurrency in [1, 3] {
-            let (expect_manifest, expect_groups) = collect_groups(&code, &data, concurrency, 64);
+        let (expect_manifest, expect_groups) = collect_groups(&code, &data, 64);
 
-            let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
-            let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), core::convert::Infallible> {
-                assert_eq!(g, groups.len(), "groups arrive in order");
-                groups.push(blocks.iter().map(|b| b.to_vec()).collect());
-                Ok(())
-            };
-            let mut enc = StripeEncoder::new(&code, sink).with_concurrency(concurrency);
-            let whole = data.chunks_exact(8);
-            let tail = whole.remainder();
-            let msgs: Vec<&[u8]> = whole.collect();
-            enc.push_messages(&msgs).unwrap();
-            // Zero-copy ingest: no message-sized staging buffer was ever
-            // checked out, only block buffers.
-            assert!(enc.pool().allocated() <= (concurrency as u64) * code.num_blocks() as u64);
-            enc.push(tail).unwrap();
-            let (manifest, _) = enc.finish().unwrap();
-            assert_eq!(manifest.object_len, expect_manifest.object_len);
-            assert_eq!(manifest.num_groups, expect_manifest.num_groups);
-            assert_eq!(groups, expect_groups, "concurrency={concurrency}");
-        }
+        let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
+        let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), core::convert::Infallible> {
+            assert_eq!(g, groups.len(), "groups arrive in order");
+            groups.push(blocks.iter().map(|b| b.to_vec()).collect());
+            Ok(())
+        };
+        let mut enc = StripeEncoder::new(&code, sink);
+        let whole = data.chunks_exact(8);
+        let tail = whole.remainder();
+        let msgs: Vec<&[u8]> = whole.collect();
+        enc.push_messages(&msgs).unwrap();
+        // Zero-copy ingest: no message-sized staging buffer was ever
+        // checked out, only block buffers.
+        assert!(enc.pool().allocated() <= code.num_blocks() as u64);
+        enc.push(tail).unwrap();
+        let (manifest, _) = enc.finish().unwrap();
+        assert_eq!(manifest.object_len, expect_manifest.object_len);
+        assert_eq!(manifest.num_groups, expect_manifest.num_groups);
+        assert_eq!(groups, expect_groups);
     }
 
     #[test]
     fn push_messages_after_partial_push_preserves_order() {
         let code = xor_code(4); // message_len = 8
         let data: Vec<u8> = (0..40).map(|i| (i * 3 + 7) as u8).collect();
-        let (expect_manifest, expect_groups) = collect_groups(&code, &data, 1, 40);
+        let (expect_manifest, expect_groups) = collect_groups(&code, &data, 40);
         let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
         let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), core::convert::Infallible> {
             assert_eq!(g, groups.len());
@@ -870,56 +735,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_sink_sees_contiguous_group_runs() {
-        struct BatchSink {
-            batches: Vec<(usize, usize)>,
-            groups: Vec<Vec<Vec<u8>>>,
-        }
-        impl GroupSink for BatchSink {
-            type Error = core::convert::Infallible;
-            fn group(&mut self, group: usize, blocks: &[AlignedBuf]) -> Result<(), Self::Error> {
-                assert_eq!(group, self.groups.len());
-                self.groups
-                    .push(blocks.iter().map(|b| b.to_vec()).collect());
-                Ok(())
-            }
-            fn batch(
-                &mut self,
-                first_group: usize,
-                groups: &[Vec<AlignedBuf>],
-            ) -> Result<(), Self::Error> {
-                self.batches.push((first_group, groups.len()));
-                for (i, blocks) in groups.iter().enumerate() {
-                    self.group(first_group + i, blocks)?;
-                }
-                Ok(())
-            }
-        }
-        let code = xor_code(4);
-        let data: Vec<u8> = (0..64).map(|i| i as u8).collect(); // 8 groups
-        let (_, expect_groups) = collect_groups(&code, &data, 1, 64);
-        let sink = BatchSink {
-            batches: Vec::new(),
-            groups: Vec::new(),
-        };
-        let mut enc = StripeEncoder::new(&code, sink).with_concurrency(4);
-        let msgs: Vec<&[u8]> = data.chunks_exact(8).collect();
-        enc.push_messages(&msgs).unwrap();
-        let (manifest, sink) = enc.finish().unwrap();
-        assert_eq!(manifest.num_groups, 8);
-        assert_eq!(sink.groups, expect_groups);
-        assert_eq!(
-            sink.batches,
-            vec![(0, 4), (4, 4)],
-            "whole batches, in order"
-        );
-    }
-
-    #[test]
     fn decoder_truncates_tail_and_tracks_groups() {
         let code = xor_code(4);
         let data: Vec<u8> = (0..19).map(|i| 250 - i as u8).collect(); // 3 groups, ragged
-        let (manifest, groups) = collect_groups(&code, &data, 1, 19);
+        let (manifest, groups) = collect_groups(&code, &data, 19);
         let mut dec = StripeDecoder::new(&code, manifest);
         let mut out = Vec::new();
         for blocks in &groups {
@@ -940,7 +759,7 @@ mod tests {
     fn resumed_encoders_match_one_continuous_encode() {
         let code = xor_code(4); // message_len = 8
         let data: Vec<u8> = (0..100).map(|i| (i * 11 + 3) as u8).collect();
-        let (expect_manifest, expect_groups) = collect_groups(&code, &data, 1, 100);
+        let (expect_manifest, expect_groups) = collect_groups(&code, &data, 100);
 
         // Re-encode the same object through one short-lived encoder per
         // slice, carrying only whole messages forward (the chunked-put
@@ -994,7 +813,7 @@ mod tests {
     fn decoder_seek_group_serves_interior_and_tail_windows() {
         let code = xor_code(4); // message_len = 8
         let data: Vec<u8> = (0..19).map(|i| (i * 5 + 1) as u8).collect(); // 3 groups, ragged
-        let (manifest, groups) = collect_groups(&code, &data, 1, 19);
+        let (manifest, groups) = collect_groups(&code, &data, 19);
         for start in 0..groups.len() {
             let mut dec = StripeDecoder::new(&code, manifest);
             dec.seek_group(start);
@@ -1034,7 +853,7 @@ mod tests {
     fn reconstructor_rebuilds_each_block_groupwise() {
         let code = xor_code(4);
         let data: Vec<u8> = (0..24).map(|i| (i * 3 + 1) as u8).collect();
-        let (manifest, groups) = collect_groups(&code, &data, 1, 24);
+        let (manifest, groups) = collect_groups(&code, &data, 24);
         for target in 0..3 {
             let mut rec = StripeReconstructor::new(&code, target, manifest.num_groups).unwrap();
             let src_ids: Vec<usize> = rec.plan().sources().to_vec();

@@ -1,23 +1,22 @@
 //! Runtime-dispatched bulk GF(2⁸) kernels — the workspace's stand-in for
 //! Intel ISA-L's SIMD erasure-coding primitives (paper §VI).
 //!
-//! Three interchangeable backends implement the same two primitives
+//! Two interchangeable backends implement the same two primitives
 //! (`dst = c·src` and `dst ^= c·src`):
 //!
 //! | backend | technique | bytes/step |
 //! |---|---|---|
 //! | [`Backend::Scalar`] | byte lookups into the full 64 KiB product table | 1 |
-//! | [`Backend::Swar`] | carry-less doubling over `u64` words, one conditional XOR per set bit of `c` | 8 |
 //! | [`Backend::Simd`] | nibble-split table shuffles (`pshufb` on SSSE3/AVX2, `vtbl` on NEON) | 16–32 |
 //!
 //! The backend is chosen **once per process**: the first kernel call (or
-//! call to [`active`]) reads `GALLOPER_KERNEL=scalar|swar|simd`, falls
-//! back to a sub-millisecond in-process probe ([`probe_backends`]) that
-//! times every CPU-supported backend and keeps the fastest — never one
-//! measuring slower than the scalar reference — and publishes the
-//! decision as the `galloper_obs` gauge `gf.kernel.backend` (the
-//! backend's discriminant) so every metrics snapshot and `BENCH_*.json`
-//! records which kernel produced it.
+//! call to [`active`]) reads `GALLOPER_KERNEL=scalar|simd` (how the test
+//! suite pins the scalar reference), falls back to a sub-millisecond
+//! in-process probe ([`probe_backends`]) that times every CPU-supported
+//! backend and keeps the fastest — never one measuring slower than the
+//! scalar reference — and publishes the decision as the `galloper_obs`
+//! gauge `gf.kernel.backend` (the backend's discriminant) so every
+//! metrics snapshot and `BENCH_*.json` records which kernel produced it.
 //! An unavailable or misspelled override warns on stderr and falls back
 //! to auto-detection rather than aborting.
 //!
@@ -30,37 +29,33 @@
 use std::sync::OnceLock;
 
 mod scalar;
-mod swar;
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[allow(unsafe_code)]
 mod simd;
 
-/// One of the three interchangeable kernel implementations.
+/// One of the two interchangeable kernel implementations.
 ///
-/// Discriminant values are stable (0 = scalar, 1 = swar, 2 = simd) and
-/// are what the `gf.kernel.backend` gauge reports.
+/// Discriminant values are stable (0 = scalar, 2 = simd) and are what
+/// the `gf.kernel.backend` gauge reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(i64)]
 pub enum Backend {
     /// Portable reference: one 64 KiB-table lookup per byte.
     Scalar = 0,
-    /// Portable SWAR: eight bytes per step via `u64` shift/mask algebra.
-    Swar = 1,
     /// `std::arch` shuffle kernels over the nibble-split tables.
     Simd = 2,
 }
 
 /// Every backend, in preference order for exhaustive sweeps.
-pub const ALL_BACKENDS: [Backend; 3] = [Backend::Scalar, Backend::Swar, Backend::Simd];
+pub const ALL_BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Simd];
 
 impl Backend {
-    /// The backend's stable lower-case name (`"scalar"`, `"swar"`,
-    /// `"simd"`) — the same spelling `GALLOPER_KERNEL` accepts.
+    /// The backend's stable lower-case name (`"scalar"`, `"simd"`) — the
+    /// same spelling `GALLOPER_KERNEL` accepts.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Swar => "swar",
             Backend::Simd => "simd",
         }
     }
@@ -69,18 +64,16 @@ impl Backend {
     pub fn from_name(name: &str) -> Option<Backend> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
-            "swar" => Some(Backend::Swar),
             "simd" => Some(Backend::Simd),
             _ => None,
         }
     }
 
-    /// Whether this backend can run on the current CPU. `Scalar` and
-    /// `Swar` always can; `Simd` requires SSSE3 (x86-64) or NEON
-    /// (aarch64).
+    /// Whether this backend can run on the current CPU. `Scalar`
+    /// always can; `Simd` requires SSSE3 (x86-64) or NEON (aarch64).
     pub fn is_available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Swar => true,
+            Backend::Scalar => true,
             #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
             Backend::Simd => simd::supported(),
             #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -111,9 +104,7 @@ pub fn available_backends() -> Vec<Backend> {
 /// every available backend on a cache-sized `mul_add` and keeps the
 /// fastest — with the scalar reference as the floor, so auto-detection
 /// can never select a backend that measures slower than scalar on this
-/// machine (the guarantee that retired the old static preference list
-/// after SWAR benched at 0.37× scalar). The choice is published as the
-/// `gf.kernel.backend` gauge.
+/// machine. The choice is published as the `gf.kernel.backend` gauge.
 pub fn active() -> Backend {
     static ACTIVE: OnceLock<Backend> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
@@ -140,7 +131,7 @@ fn resolve() -> Backend {
             None => {
                 let auto = auto_detect();
                 eprintln!(
-                    "warning: GALLOPER_KERNEL={raw:?} is not one of scalar|swar|simd; using {auto}"
+                    "warning: GALLOPER_KERNEL={raw:?} is not one of scalar|simd; using {auto}"
                 );
                 auto
             }
@@ -161,9 +152,8 @@ const PROBE_REPS: usize = 5;
 /// returning the best of [`PROBE_REPS`] timed reps (after one warm-up
 /// rep that faults in the buffers and the backend's tables).
 fn probe(backend: Backend, src: &[u8], dst: &mut [u8]) -> std::time::Duration {
-    // Three coefficients with different popcounts, so backends whose
-    // cost depends on the bit pattern of `c` (SWAR's ladder) are ranked
-    // on a representative mix.
+    // Three coefficients with different bit patterns, so the ranking
+    // does not hinge on one table row.
     const COEFFS: [u8; 3] = [0x02, 0x53, 0xFE];
     let mut best = std::time::Duration::MAX;
     for rep in 0..=PROBE_REPS {
@@ -317,7 +307,6 @@ pub fn mul_with(backend: Backend, c: u8, src: &[u8], dst: &mut [u8]) {
 fn dispatch_mul_add(backend: Backend, c: u8, src: &[u8], dst: &mut [u8]) {
     match backend {
         Backend::Scalar => scalar::mul_add(c, src, dst),
-        Backend::Swar => swar::mul_add(c, src, dst),
         Backend::Simd => simd_mul_add(c, src, dst),
     }
 }
@@ -325,7 +314,6 @@ fn dispatch_mul_add(backend: Backend, c: u8, src: &[u8], dst: &mut [u8]) {
 fn dispatch_mul(backend: Backend, c: u8, src: &[u8], dst: &mut [u8]) {
     match backend {
         Backend::Scalar => scalar::mul(c, src, dst),
-        Backend::Swar => swar::mul(c, src, dst),
         Backend::Simd => simd_mul(c, src, dst),
     }
 }
@@ -353,16 +341,14 @@ mod tests {
             assert_eq!(Backend::from_name(b.name()), Some(b));
             assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
         }
-        assert_eq!(Backend::from_name(" swar "), Some(Backend::Swar));
+        assert_eq!(Backend::from_name(" simd "), Some(Backend::Simd));
+        assert_eq!(Backend::from_name("swar"), None);
         assert_eq!(Backend::from_name("avx2"), None);
     }
 
     #[test]
-    fn scalar_and_swar_are_always_available() {
-        let avail = available_backends();
-        assert!(avail.contains(&Backend::Scalar));
-        assert!(avail.contains(&Backend::Swar));
-        assert_eq!(avail.first(), Some(&Backend::Scalar));
+    fn scalar_is_always_available_and_first() {
+        assert_eq!(available_backends().first(), Some(&Backend::Scalar));
     }
 
     #[test]
@@ -378,8 +364,8 @@ mod tests {
     /// The auto-detection contract: whatever backend the probe selects
     /// must not measure slower than scalar when re-probed. Re-probing
     /// uses fresh min-of-reps timings, so a generous slack absorbs
-    /// run-to-run noise without ever letting a 0.37×-scalar backend
-    /// (the original SWAR regression) through.
+    /// run-to-run noise without ever letting a backend several times
+    /// slower than scalar through.
     #[test]
     #[cfg_attr(miri, ignore = "wall-clock probing is meaningless under miri")]
     fn auto_detected_backend_is_not_slower_than_scalar() {

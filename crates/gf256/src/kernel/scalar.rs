@@ -2,7 +2,7 @@
 //! 64 KiB product table, unrolled by four.
 //!
 //! This is byte-for-byte the behaviour the original `slice` kernels had;
-//! the differential suite pins the SWAR and SIMD backends against it.
+//! the differential suite pins the SIMD backend against it.
 
 use crate::tables::MUL_TABLE;
 

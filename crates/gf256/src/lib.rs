@@ -17,8 +17,9 @@
 //! * [mod@slice] — raw `u8` bulk kernels (`mul_slice_add` and friends) used by
 //!   the hot encode/decode paths, with XOR fast paths that work on whole
 //!   words at a time. The byte loops behind them live in [mod@kernel],
-//!   which picks a scalar, SWAR, or SIMD backend at startup
-//!   (`GALLOPER_KERNEL` overrides the choice).
+//!   which probes once at startup and runs the `std::arch` SIMD backend
+//!   where it beats the scalar reference (`GALLOPER_KERNEL=scalar` pins
+//!   the reference for tests).
 //!
 //! # Examples
 //!
@@ -41,17 +42,13 @@
 #![warn(missing_docs)]
 
 mod element;
-mod poly;
 mod tables;
-mod wide;
 
 pub mod kernel;
 pub mod slice;
 
 pub use element::Gf256;
-pub use poly::Polynomial;
 pub use tables::{EXP_TABLE, LOG_TABLE, MUL_HI_NIBBLE, MUL_LO_NIBBLE, PRIMITIVE_POLY};
-pub use wide::{Gf65536, PRIMITIVE_POLY_16};
 
 /// The number of elements in the field.
 pub const FIELD_SIZE: usize = 256;

@@ -7,9 +7,9 @@
 //! word-wide XOR/copy), which matters in practice: systematic generator
 //! matrices are dominated by zeros and ones.
 //!
-//! Since the kernel rewrite, the actual byte loops live in
-//! [`crate::kernel`], which dispatches to a scalar, SWAR, or SIMD backend
-//! chosen once at startup (`GALLOPER_KERNEL` overrides). This module is the
+//! The actual byte loops live in [`crate::kernel`], which dispatches to
+//! the scalar reference or the SIMD backend, probed once at startup
+//! (`GALLOPER_KERNEL=scalar` pins the reference). This module is the
 //! *counted* facade over those raw kernels: every call here adds its byte
 //! count to a global counter (`gf.xor_slice.bytes`, `gf.mul_slice.bytes`,
 //! `gf.mul_slice_add.bytes`, `gf.dot_product.calls`) in the

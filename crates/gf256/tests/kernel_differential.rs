@@ -1,6 +1,6 @@
-//! Differential property suite for the kernel backends: SWAR and SIMD
-//! must be byte-identical to the scalar reference for every coefficient,
-//! across ragged lengths and misaligned sub-slices.
+//! Differential property suite for the kernel backends: SIMD must be
+//! byte-identical to the scalar reference for every coefficient, across
+//! ragged lengths and misaligned sub-slices.
 //!
 //! Under Miri (which vets the `unsafe` intrinsics when they are
 //! interpretable) the sweep is thinned to keep the run tractable; the

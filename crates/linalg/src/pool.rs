@@ -427,7 +427,10 @@ mod tests {
         let pool = WorkerPool::new(2);
         let root = op::span("pool.test.op", "test");
         let expect = root.op();
-        let waits_before = queue_wait_hist().count();
+        // Counted on this test's own operation: the process-global
+        // `linalg.pool.queue_wait_us` histogram also moves with every
+        // sibling test's pool.
+        let tracker = op::track(expect);
         let seen: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let tasks: Vec<ScopedTask<'_>> = (0..4)
             .map(|_| {
@@ -440,7 +443,7 @@ mod tests {
         drop(root);
         assert_eq!(*seen.lock().unwrap(), vec![expect; 4]);
         assert_eq!(
-            queue_wait_hist().count() - waits_before,
+            tracker.accum().queue_samples(),
             4,
             "one queue-wait sample per pooled task"
         );

@@ -204,6 +204,7 @@ pub fn instant(name: &str, cat: &str) {
 #[derive(Debug, Default)]
 pub struct OpAccum {
     queue_us: AtomicU64,
+    queue_samples: AtomicU64,
     compute_us: AtomicU64,
 }
 
@@ -211,6 +212,11 @@ impl OpAccum {
     /// Total queue wait attributed so far, µs.
     pub fn queue_us(&self) -> u64 {
         self.queue_us.load(Ordering::Relaxed)
+    }
+
+    /// Queue waits attributed so far (one per pooled task).
+    pub fn queue_samples(&self) -> u64 {
+        self.queue_samples.load(Ordering::Relaxed)
     }
 
     /// Total compute time attributed so far, µs.
@@ -266,6 +272,7 @@ pub fn add_queue_us(op: u64, us: u64) {
     }
     if let Some(a) = live_ops().lock().unwrap().get(&op) {
         a.queue_us.fetch_add(us, Ordering::Relaxed);
+        a.queue_samples.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -427,6 +434,7 @@ mod tests {
         add_compute_us(1234, 20);
         add_queue_us(0, 99); // no-op
         assert_eq!(t.accum().queue_us(), 10);
+        assert_eq!(t.accum().queue_samples(), 1);
         assert_eq!(t.accum().compute_us(), 20);
         drop(t);
         add_queue_us(1234, 10); // silently ignored once untracked

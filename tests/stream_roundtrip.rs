@@ -1,10 +1,9 @@
 //! Property-style round-trips of the streaming codec drivers against the
 //! one-shot [`ObjectCodec`]: for every code family, every ragged object
-//! length (including the empty object), every push-chunk size, and both
-//! serial and concurrent encoders, the streamed groups must be
-//! byte-identical to the whole-object path and decode back to the exact
-//! original bytes — while the buffer pools stay bounded by the number of
-//! groups in flight.
+//! length (including the empty object) and every push-chunk size, the
+//! streamed groups must be byte-identical to the whole-object path and
+//! decode back to the exact original bytes — while the buffer pool stays
+//! bounded by the one group in flight.
 
 use galloper_suite::codes::{build_code, BoxedCode, CodeSpec, ErasureCode, ObjectCodec};
 use galloper_suite::stream::{AlignedBuf, StripeDecoder, StripeEncoder, StripeReconstructor};
@@ -40,7 +39,6 @@ fn stream_encode(
     code: &BoxedCode,
     data: &[u8],
     chunk: usize,
-    concurrency: usize,
 ) -> (
     galloper_suite::codes::ObjectManifest,
     Vec<Vec<Vec<u8>>>,
@@ -52,7 +50,7 @@ fn stream_encode(
         groups.push(blocks.iter().map(|b| b.to_vec()).collect());
         Ok(())
     };
-    let mut encoder = StripeEncoder::new(code, sink).with_concurrency(concurrency);
+    let mut encoder = StripeEncoder::new(code, sink);
     for piece in data.chunks(chunk.max(1)) {
         encoder.push(piece).unwrap();
     }
@@ -72,19 +70,16 @@ fn streaming_encode_matches_oneshot_for_every_family() {
         for len in object_lens(msg) {
             let data = sample(len, 3);
             let oneshot = codec.encode_object(&data).unwrap();
-            for concurrency in [1, 3] {
-                for chunk in [7, msg, usize::MAX] {
-                    let (manifest, groups, _) =
-                        stream_encode(&code, &data, chunk.min(len.max(1)), concurrency);
-                    assert_eq!(
-                        manifest, oneshot.manifest,
-                        "{name}: manifest len={len} chunk={chunk} conc={concurrency}"
-                    );
-                    assert_eq!(
-                        groups, oneshot.groups,
-                        "{name}: groups len={len} chunk={chunk} conc={concurrency}"
-                    );
-                }
+            for chunk in [7, msg, usize::MAX] {
+                let (manifest, groups, _) = stream_encode(&code, &data, chunk.min(len.max(1)));
+                assert_eq!(
+                    manifest, oneshot.manifest,
+                    "{name}: manifest len={len} chunk={chunk}"
+                );
+                assert_eq!(
+                    groups, oneshot.groups,
+                    "{name}: groups len={len} chunk={chunk}"
+                );
             }
         }
     }
@@ -98,7 +93,7 @@ fn streaming_decode_recovers_exact_bytes_with_a_lost_block() {
         let n = code.num_blocks();
         for len in object_lens(msg) {
             let data = sample(len, 5);
-            let (manifest, groups, _) = stream_encode(&code, &data, 4096, 2);
+            let (manifest, groups, _) = stream_encode(&code, &data, 4096);
 
             // Stream the groups back with data block 0 missing everywhere.
             let mut decoder = StripeDecoder::new(&code, manifest);
@@ -122,7 +117,7 @@ fn streaming_reconstruct_rebuilds_every_block_groupwise() {
         let code = build_code(&spec).unwrap();
         let msg = code.message_len();
         let data = sample(3 * msg - 7, 9);
-        let (manifest, groups, _) = stream_encode(&code, &data, 4096, 1);
+        let (manifest, groups, _) = stream_encode(&code, &data, 4096);
 
         for target in 0..code.num_blocks() {
             let mut rec = StripeReconstructor::new(&code, target, manifest.num_groups).unwrap();
@@ -144,18 +139,12 @@ fn encoder_pools_stay_bounded_by_groups_in_flight() {
         let code = build_code(&spec).unwrap();
         let msg = code.message_len();
         let n = code.num_blocks() as u64;
-        // 20 groups through a serial and a 3-deep concurrent encoder.
         let data = sample(20 * msg, 11);
-        for concurrency in [1u64, 3] {
-            let (_, groups, allocated) = stream_encode(&code, &data, msg, concurrency as usize);
-            assert_eq!(groups.len(), 20, "{name}");
-            // The unified pool holds at most one batch of message buffers
-            // (plus one pending stage) and one batch of block buffers —
-            // never a number that grows with the 20 groups streamed.
-            assert!(
-                allocated <= concurrency + 1 + concurrency * n,
-                "{name}: {allocated} pooled buffers at concurrency {concurrency}"
-            );
-        }
+        let (_, groups, allocated) = stream_encode(&code, &data, msg);
+        assert_eq!(groups.len(), 20, "{name}");
+        // The pool holds at most one message buffer (plus one pending
+        // stage) and one group's block buffers — never a number that
+        // grows with the 20 groups streamed.
+        assert!(allocated <= 2 + n, "{name}: {allocated} pooled buffers");
     }
 }
