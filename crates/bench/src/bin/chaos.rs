@@ -19,9 +19,7 @@ use galloper::Galloper;
 use galloper_bench::table::{mb, secs, Table};
 use galloper_bench::{emit_json, env_usize, payload};
 use galloper_carousel::Carousel;
-use galloper_dfs::{
-    faults, AsLinearCode, Dfs, ErasureCode, FaultPlan, FaultPlanConfig, ReadOptions,
-};
+use galloper_dfs::{faults, Dfs, ErasureCode, FaultPlan, FaultPlanConfig, ReadOptions};
 use galloper_obs::Json;
 use galloper_pyramid::Pyramid;
 use galloper_rs::ReedSolomon;
@@ -86,7 +84,7 @@ fn counter_values() -> Vec<u64> {
 
 fn soak<C>(family: &'static str, code: C, seed: u64, ticks: u64, object_len: usize) -> Outcome
 where
-    C: ErasureCode + AsLinearCode,
+    C: ErasureCode,
 {
     // Enough servers that crashes + concurrent outages never starve
     // replacement placement, for any of the four layouts.

@@ -109,12 +109,6 @@ impl Carousel {
 
 delegate_erasure_code!(Carousel, inner);
 
-impl galloper_erasure::AsLinearCode for Carousel {
-    fn as_linear_code(&self) -> &LinearCode {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -307,8 +307,9 @@ fn open_block(
 /// treated as erasures) and writes it to `output`.
 ///
 /// Groups stream through a [`StripeDecoder`]: each group's block bytes
-/// are read into `num_blocks` reused buffers, decoded, and appended to
-/// the output — the whole object is never resident.
+/// are read into `num_blocks` reused buffers, range-read (present
+/// stripes copied, a missing block's recovered), and appended to the
+/// output — the whole object is never resident.
 ///
 /// # Errors
 ///

@@ -192,12 +192,6 @@ impl GalloperAsl {
 
 galloper_erasure::delegate_erasure_code!(GalloperAsl, inner);
 
-impl galloper_erasure::AsLinearCode for GalloperAsl {
-    fn as_linear_code(&self) -> &LinearCode {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -200,9 +200,3 @@ impl Galloper {
 }
 
 galloper_erasure::delegate_erasure_code!(Galloper, inner);
-
-impl galloper_erasure::AsLinearCode for Galloper {
-    fn as_linear_code(&self) -> &LinearCode {
-        &self.inner
-    }
-}

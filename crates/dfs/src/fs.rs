@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use galloper_erasure::stream::{AlignedBuf, StreamError, StripeDecoder, StripeEncoder};
-use galloper_erasure::{AsLinearCode, CodeError, ErasureCode, ObjectManifest};
+use galloper_erasure::stream::{AlignedBuf, StreamError, StripeEncoder};
+use galloper_erasure::{CodeError, ErasureCode, ObjectManifest};
 use galloper_obs::{global, op, Histogram, OpContext};
 
 use crate::faults::{Fault, FaultPlan, TimedFault};
@@ -282,6 +282,23 @@ impl ReadOptions {
         self.retries = Some(retries);
         self
     }
+
+    /// The byte span these options select of an `object_len`-byte
+    /// object. Saturating, so a wrapping `offset + len` cannot sneak
+    /// past the length check (mirror of the erasure-level guard).
+    fn span(&self, object_len: usize) -> Result<std::ops::Range<usize>, DfsError> {
+        let end = match self.len {
+            Some(len) => self.offset.saturating_add(len),
+            None => object_len.max(self.offset),
+        };
+        if end > object_len {
+            return Err(DfsError::OutOfRange {
+                end,
+                len: object_len,
+            });
+        }
+        Ok(self.offset..end)
+    }
 }
 
 /// Per-read accounting returned by [`Dfs::read`] — one shape for
@@ -293,11 +310,13 @@ pub struct ReadReport {
     pub attempts: usize,
     /// Retries taken across transient outage windows.
     pub retries: usize,
-    /// Coding stripes (groups) touched, summed over attempts.
+    /// Coding stripes (each one stripe size of the code long) the read
+    /// touched, summed over attempts.
     pub stripes_read: usize,
-    /// Bytes pulled from block stores, summed over attempts.
+    /// Bytes of those stripes: `stripes_read` × the stripe size.
     pub bytes_read: usize,
-    /// Groups that needed a degraded decode, summed over attempts.
+    /// Groups read with an unusable block in their survey, summed over
+    /// attempts.
     pub degraded_reads: usize,
     /// Background repairs this read enqueued for the groups it had to
     /// decode around (only when a retry budget was given — fail-fast
@@ -764,11 +783,11 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         self.meta(name).map(|m| m.manifest)
     }
 
-    /// Decodes one window of a file — up to `max_groups` coding groups
+    /// Reads one window of a file — up to `max_groups` coding groups
     /// starting at `first_group` — returning exactly the object bytes
-    /// those groups carry (tail padding already truncated). Degraded
-    /// groups decode through the same loop as [`Dfs::get`]; memory is
-    /// one window, not the object.
+    /// those groups carry (none of the tail's padding). It is the byte
+    /// span the window covers, read as [`Dfs::get`] reads the whole
+    /// object; memory is one window, not the object.
     ///
     /// # Errors
     ///
@@ -783,17 +802,25 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         max_groups: usize,
     ) -> Result<Vec<u8>, DfsError> {
         let meta = self.meta(name)?;
-        let num_groups = meta.manifest.num_groups;
+        let ObjectManifest {
+            object_len,
+            num_groups,
+        } = meta.manifest;
         if first_group > num_groups {
             return Err(DfsError::OutOfRange {
                 end: first_group,
                 len: num_groups,
             });
         }
-        let end = num_groups.min(first_group.saturating_add(max_groups));
-        self.decode_groups(
+        let msg = self.code.message_len();
+        let start = first_group.saturating_mul(msg).min(object_len);
+        let end = first_group
+            .saturating_add(max_groups)
+            .saturating_mul(msg)
+            .min(object_len);
+        self.read_span(
             meta,
-            first_group..end,
+            start..end,
             &mut op::OpReport::default(),
             &mut Vec::new(),
         )
@@ -812,50 +839,132 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     pub fn get(&self, name: &str) -> Result<Vec<u8>, DfsError> {
         let mut scope = OpScope::new("dfs.get", "get", name, "dfs.op.get_us");
         let res = self.meta(name).and_then(|meta| {
-            let all = 0..meta.manifest.num_groups;
-            self.decode_groups(meta, all, &mut scope.report, &mut Vec::new())
+            let all = 0..meta.manifest.object_len;
+            self.read_span(meta, all, &mut scope.report, &mut Vec::new())
         });
         scope.finish(res.is_ok());
         res
     }
 
-    /// The read core: decodes the window `groups` of a file group by
-    /// group, routing around unusable blocks, accumulating accounting
-    /// into `report` and the indices of groups that needed a degraded
-    /// decode into `degraded` (for read-triggered repair). The
-    /// `dfs.bytes_read` / `dfs.degraded_reads` counters move in
-    /// lockstep with the report fields, so an op-log line can be
-    /// cross-checked against the registry.
-    fn decode_groups(
+    /// The configurable read entry point: whole-file or range reads,
+    /// optional retry across transient outage windows, one
+    /// [`ReadOutcome`] shape back.
+    ///
+    /// Reads that carry a retry budget also enqueue background repairs
+    /// for every degraded group they read (read-triggered repair) under
+    /// this read's trace context; fail-fast reads stay read-only.
+    ///
+    /// # Errors
+    ///
+    /// [`DfsError::NotFound`], [`DfsError::OutOfRange`],
+    /// [`DfsError::DataLoss`], or [`DfsError::Unavailable`] once any
+    /// retry budget is exhausted.
+    pub fn read(&mut self, name: &str, opts: ReadOptions) -> Result<ReadOutcome, DfsError> {
+        let mut scope = OpScope::new("dfs.read", "read", name, "dfs.op.read_us");
+        let res = self.read_retrying(name, opts, &mut scope);
+        scope.finish(res.is_ok());
+        res
+    }
+
+    /// The body of [`Dfs::read`]: the retry loop around
+    /// [`Dfs::read_span`], then read-triggered repair and the stats.
+    fn read_retrying(
+        &mut self,
+        name: &str,
+        opts: ReadOptions,
+        scope: &mut OpScope,
+    ) -> Result<ReadOutcome, DfsError> {
+        let budget = opts.retries.unwrap_or(0);
+        let mut backoff = 1u64;
+        let mut attempts = 0usize;
+        let mut degraded = Vec::new();
+        let bytes = loop {
+            attempts += 1;
+            degraded.clear();
+            let attempt = self.meta(name).and_then(|meta| {
+                let span = opts.span(meta.manifest.object_len)?;
+                self.read_span(meta, span, &mut scope.report, &mut degraded)
+            });
+            match attempt {
+                Err(DfsError::Unavailable { .. }) if attempts <= budget => {
+                    global().counter("dfs.faults.retries").inc();
+                    scope.report.retries += 1;
+                    let _wait = op::span("dfs.retry", "dfs");
+                    self.advance_to(self.clock + backoff);
+                    backoff = backoff.saturating_mul(2);
+                }
+                res => break res?,
+            }
+        };
+        // Read-triggered repair: the degraded groups this read crossed
+        // are enqueued under this operation's context, so the eventual
+        // rebuild traces as part of the read that noticed the damage.
+        // Fail-fast reads (no retry budget) stay read-only.
+        let repairs_queued = if opts.retries.is_some() {
+            self.enqueue_degraded(name, &degraded, scope.span.context())
+        } else {
+            0
+        };
+        scope.report.repair_triggers += repairs_queued as u64;
+        let stats = ReadReport {
+            attempts,
+            retries: scope.report.retries as usize,
+            stripes_read: scope.report.stripes as usize,
+            bytes_read: scope.report.bytes_in as usize,
+            degraded_reads: scope.report.degraded_reads as usize,
+            repairs_queued,
+        };
+        Ok(ReadOutcome { bytes, stats })
+    }
+
+    /// The read core: object bytes `span` of a file, group by group —
+    /// survey the group, then one
+    /// [`read_range_into`](ErasureCode::read_range_into) over the part
+    /// of it the span covers, which copies the stripes whose home block
+    /// is usable and recovers the rest. An empty span asks no store
+    /// anything.
+    ///
+    /// A group is *degraded* iff its survey holds an unusable block,
+    /// whether or not the span needed that block: such groups are
+    /// counted in `report`, read under a `dfs.degraded_decode` span and
+    /// listed in `degraded` (for read-triggered repair). `report`'s
+    /// `stripes` / `bytes_in` count the coding stripes the reads
+    /// touched, and the `dfs.bytes_read` / `dfs.degraded_reads` counters
+    /// move in lockstep with the report fields, so an op-log line can
+    /// be cross-checked against the registry.
+    fn read_span(
         &self,
         meta: &FileMeta,
-        groups: std::ops::Range<usize>,
+        span: std::ops::Range<usize>,
         report: &mut op::OpReport,
         degraded: &mut Vec<usize>,
     ) -> Result<Vec<u8>, DfsError> {
-        let mut decoder = StripeDecoder::new(&self.code, meta.manifest);
-        decoder.seek_group(groups.start);
-        let window = groups.len().saturating_mul(self.code.message_len());
-        let mut out = Vec::with_capacity(window.min(meta.manifest.object_len));
-        for g in groups {
-            let survey = self.survey_group(meta, g);
+        let msg = self.code.message_len();
+        let mut out = Vec::with_capacity(span.len());
+        let mut pos = span.start;
+        while pos < span.end {
+            let (group, within) = (pos / msg, pos % msg);
+            let take = (msg - within).min(span.end - pos);
+            let survey = self.survey_group(meta, group);
             count_routed_around(&survey);
-            let present: u64 = survey.iter().flatten().map(|b| b.len() as u64).sum();
-            global().counter("dfs.bytes_read").add(present);
-            report.bytes_in += present;
             let lost = survey.iter().any(|b| b.is_err());
             if lost {
                 global().counter("dfs.degraded_reads").inc();
                 report.degraded_reads += 1;
-                degraded.push(g);
+                degraded.push(group);
             }
             let _span = lost.then(|| op::span("dfs.degraded_decode", "dfs"));
-            let payload = decoder
-                .next_group(&readable(&survey))
-                .map_err(|_| group_read_error(meta, g, &survey))?;
-            report.stripes += 1;
-            report.bytes_out += payload.len() as u64;
-            out.extend_from_slice(&payload);
+            let stats = self
+                .code
+                .read_range_into(within, take, &readable(&survey), &mut out)
+                .map_err(|_| group_read_error(meta, group, &survey))?;
+            global()
+                .counter("dfs.bytes_read")
+                .add(stats.bytes_read as u64);
+            report.bytes_in += stats.bytes_read as u64;
+            report.stripes += stats.stripes_read as u64;
+            report.bytes_out += take as u64;
+            pos += take;
         }
         Ok(out)
     }
@@ -1509,157 +1618,5 @@ fn put_error(e: StreamError<DfsError>) -> DfsError {
         // The encoder only surfaces Code/Sink; defensive arm for the
         // non-exhaustive enum.
         _ => DfsError::Code(CodeError::BlockSizeMismatch),
-    }
-}
-
-impl<C, S> Dfs<C, S>
-where
-    C: ErasureCode + AsLinearCode,
-    S: BlockStore,
-{
-    /// The configurable read entry point: whole-file or range reads,
-    /// optional retry across transient outage windows, one
-    /// [`ReadOutcome`] shape back. Range reads require the code to
-    /// expose its [`LinearCode`](galloper_erasure::LinearCode), whose
-    /// `read_range` touches only the stripes the range needs.
-    ///
-    /// Reads that carry a retry budget also enqueue background repairs
-    /// for every group they had to decode around (read-triggered
-    /// repair) under this read's trace context; fail-fast reads stay
-    /// read-only.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::NotFound`], [`DfsError::OutOfRange`],
-    /// [`DfsError::DataLoss`], or [`DfsError::Unavailable`] once any
-    /// retry budget is exhausted.
-    pub fn read(&mut self, name: &str, opts: ReadOptions) -> Result<ReadOutcome, DfsError> {
-        let mut scope = OpScope::new("dfs.read", "read", name, "dfs.op.read_us");
-        let res = self.read_retrying(name, opts, &mut scope);
-        scope.finish(res.is_ok());
-        res
-    }
-
-    /// The body of [`Dfs::read`]: the retry loop around
-    /// [`Dfs::read_once`], then read-triggered repair and the stats.
-    fn read_retrying(
-        &mut self,
-        name: &str,
-        opts: ReadOptions,
-        scope: &mut OpScope,
-    ) -> Result<ReadOutcome, DfsError> {
-        let budget = opts.retries.unwrap_or(0);
-        let mut backoff = 1u64;
-        let mut attempts = 0usize;
-        let mut degraded = Vec::new();
-        let bytes = loop {
-            attempts += 1;
-            degraded.clear();
-            match self.read_once(name, &opts, &mut scope.report, &mut degraded) {
-                Err(DfsError::Unavailable { .. }) if attempts <= budget => {
-                    global().counter("dfs.faults.retries").inc();
-                    scope.report.retries += 1;
-                    let _wait = op::span("dfs.retry", "dfs");
-                    self.advance_to(self.clock + backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                res => break res?,
-            }
-        };
-        // Read-triggered repair: groups this read had to decode around
-        // are enqueued under this operation's context, so the eventual
-        // rebuild traces as part of the read that noticed the damage.
-        // Fail-fast reads (no retry budget) stay read-only.
-        let repairs_queued = if opts.retries.is_some() {
-            self.enqueue_degraded(name, &degraded, scope.span.context())
-        } else {
-            0
-        };
-        scope.report.repair_triggers += repairs_queued as u64;
-        let stats = ReadReport {
-            attempts,
-            retries: scope.report.retries as usize,
-            stripes_read: scope.report.stripes as usize,
-            bytes_read: scope.report.bytes_in as usize,
-            degraded_reads: scope.report.degraded_reads as usize,
-            repairs_queued,
-        };
-        Ok(ReadOutcome { bytes, stats })
-    }
-
-    /// One read attempt: whole-file reads go through the group decode
-    /// loop, everything else through the linear-code range path. Both
-    /// collect the groups that needed a degraded decode into
-    /// `degraded`.
-    fn read_once(
-        &self,
-        name: &str,
-        opts: &ReadOptions,
-        report: &mut op::OpReport,
-        degraded: &mut Vec<usize>,
-    ) -> Result<Vec<u8>, DfsError> {
-        let meta = self.meta(name)?;
-        match opts.len {
-            None if opts.offset == 0 => {
-                let all = 0..meta.manifest.num_groups;
-                self.decode_groups(meta, all, report, degraded)
-            }
-            len => self.decode_range(meta, opts.offset, len, report, degraded),
-        }
-    }
-
-    /// The range arm of [`Dfs::read_once`]: `len` bytes at `offset`
-    /// (`None` = through the end of the file), fetched group by group
-    /// through [`LinearCode::read_range`](galloper_erasure::LinearCode),
-    /// which reads only the stripes each sub-range needs.
-    fn decode_range(
-        &self,
-        meta: &FileMeta,
-        offset: usize,
-        len: Option<usize>,
-        report: &mut op::OpReport,
-        degraded: &mut Vec<usize>,
-    ) -> Result<Vec<u8>, DfsError> {
-        let object_len = meta.manifest.object_len;
-        // Saturating, so a wrapping `offset + len` cannot sneak past
-        // the length check (mirror of the erasure-level guard).
-        let end = match len {
-            Some(len) => offset.saturating_add(len),
-            None => object_len.max(offset),
-        };
-        if end > object_len {
-            return Err(DfsError::OutOfRange {
-                end,
-                len: object_len,
-            });
-        }
-        let msg = self.code.message_len();
-        let mut out = Vec::with_capacity(end - offset);
-        let mut pos = offset;
-        while pos < end {
-            let (group, within) = (pos / msg, pos % msg);
-            let take = (msg - within).min(end - pos);
-            let survey = self.survey_group(meta, group);
-            count_routed_around(&survey);
-            let (bytes, stats) = self
-                .code
-                .as_linear_code()
-                .read_range(within, take, &readable(&survey))
-                .map_err(|_| group_read_error(meta, group, &survey))?;
-            global()
-                .counter("dfs.bytes_read")
-                .add(stats.bytes_read as u64);
-            report.bytes_in += stats.bytes_read as u64;
-            report.stripes += stats.stripes_read as u64;
-            report.bytes_out += bytes.len() as u64;
-            if stats.degraded {
-                global().counter("dfs.degraded_reads").inc();
-                report.degraded_reads += 1;
-                degraded.push(group);
-            }
-            out.extend_from_slice(&bytes);
-            pos += take;
-        }
-        Ok(out)
     }
 }

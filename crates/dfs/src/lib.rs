@@ -12,13 +12,16 @@
 //!   and [`Dfs::put_commit`] pads the tail and publishes the file
 //!   ([`Dfs::put_abort`] reclaims it instead). [`Dfs::put`] is that
 //!   same sequence for bytes already in hand, aborting on any error;
-//! * read — one degraded-aware decode loop over a window of coding
-//!   groups, reached three ways: [`Dfs::get`] (whole file, fail-fast),
-//!   [`Dfs::read_groups`] (one window, for chunked transfers) and
+//! * read — every read is a range read: one core takes a byte span of
+//!   the object and, per group it crosses, surveys the group and makes
+//!   one [`ErasureCode::read_range_into`] call, which copies the
+//!   stripes whose home block is usable and recovers the rest through
+//!   the lost block's repair row. It is reached three ways:
+//!   [`Dfs::get`] (the whole object, fail-fast), [`Dfs::read_groups`]
+//!   (the span one window of groups covers, for chunked transfers) and
 //!   [`Dfs::read`] ([`ReadOptions`] in, [`ReadOutcome`] out), which
-//!   adds retry-with-backoff across transient outage windows,
-//!   read-triggered repair, and range reads through
-//!   [`LinearCode::read_range`](galloper_erasure::LinearCode);
+//!   adds ranges, retry-with-backoff across transient outage windows
+//!   and read-triggered repair;
 //! * [`Dfs::fail_server`] — failure injection (blocks on the server are
 //!   lost);
 //! * [`Dfs::repair`] — rebuild every lost block, preferring each block's
@@ -53,7 +56,7 @@
 //! request-scoped span (`dfs.put`, `dfs.get`, `dfs.read`,
 //! `dfs.repair`, `dfs.fsck`) with `dfs.retry`, `dfs.degraded_decode`
 //! and `dfs.repair_group` as child spans, so with tracing on, a
-//! degraded read — including its retries, degraded decodes, and the
+//! degraded read — including its retries, degraded group reads, and the
 //! repairs it triggers — renders as one connected tree in the Chrome
 //! trace; and with `GALLOPER_OP_LOG` set, each top-level operation
 //! emits a structured JSON report line (bytes, stripes, retries,
@@ -98,6 +101,6 @@ pub use fs::{
     Dfs, DfsError, DrainReport, FileId, ReadOptions, ReadOutcome, ReadReport, RepairSummary,
     ServerHealth,
 };
-pub use galloper_erasure::{AsLinearCode, ErasureCode};
+pub use galloper_erasure::ErasureCode;
 pub use health::{FileHealth, FsckReport, GroupHealth};
 pub use store::{BlockGet, BlockKey, BlockStore, DiskStore, MemStore, StoreError, StoreHealth};

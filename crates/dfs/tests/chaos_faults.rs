@@ -4,9 +4,7 @@
 //! across every code family lives in the workspace-level `tests/chaos.rs`.
 
 use galloper::Galloper;
-use galloper_dfs::{
-    AsLinearCode, Dfs, DfsError, ErasureCode, Fault, FaultPlan, ReadOptions, ServerHealth,
-};
+use galloper_dfs::{Dfs, DfsError, ErasureCode, Fault, FaultPlan, ReadOptions, ServerHealth};
 use galloper_rs::ReedSolomon;
 use galloper_testkit::TestRng;
 
@@ -107,6 +105,28 @@ fn outage_blocks_reads_until_retry_waits_it_out() {
 }
 
 #[test]
+fn a_lost_parity_makes_every_read_of_its_group_degraded() {
+    // "Degraded" is read off the survey, not off what the bytes asked
+    // for needed: a patient range read over a group whose *parity* is
+    // gone copies healthy data stripes and still enqueues the repair a
+    // whole-object read would (it used to report a healthy read and
+    // leave the group to the next scan).
+    let parity = 5; // RS(4, 2): blocks 4 and 5 hold no original data
+    for opts in [ReadOptions::range(3, 100), ReadOptions::full()] {
+        let mut dfs = Dfs::new(8, ReedSolomon::new(4, 2, 64).unwrap());
+        let data = TestRng::new(21).bytes(200);
+        dfs.put("f", &data).unwrap();
+        assert!(dfs.corrupt_stored("f", 0, parity));
+        let read = dfs.read("f", opts.with_retries(1)).unwrap();
+        assert_eq!(read.stats.degraded_reads, 1, "{opts:?}");
+        assert_eq!(read.stats.repairs_queued, 1, "{opts:?}");
+        assert_eq!(dfs.repair_queue_depth(), 1);
+        assert_eq!(dfs.drain_repairs(usize::MAX).unwrap().repaired_groups, 1);
+        assert!(dfs.fsck().all_healthy());
+    }
+}
+
+#[test]
 fn retry_budget_is_bounded() {
     let mut dfs = Dfs::new(4, ReedSolomon::new(2, 1, 64).unwrap());
     let data = TestRng::new(3).bytes(1_000);
@@ -129,7 +149,7 @@ fn repair_queue_heals_most_endangered_group_first() {
     // rebuild the margin-poorer group first.
     let mut dfs = Dfs::new(12, Galloper::uniform(4, 2, 1, 64).unwrap());
     let groups = {
-        let msg = dfs.code().as_linear_code().message_len();
+        let msg = dfs.code().message_len();
         let data = TestRng::new(9).bytes(3 * msg);
         dfs.put("f", &data).unwrap();
         3

@@ -1,7 +1,7 @@
 //! The [`ErasureCode`] trait implemented by every code family in the
 //! workspace.
 
-use crate::{CodeError, DataLayout, RepairPlan};
+use crate::{CodeError, DataLayout, ReadStats, RepairPlan};
 
 /// The role a block plays in the code's structure.
 ///
@@ -101,6 +101,37 @@ pub trait ErasureCode {
     ///   recoverable.
     fn decode(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError>;
 
+    /// Appends original bytes `[offset, offset + len)` of the message to
+    /// `out`, reading as little of the available blocks as the code
+    /// allows, and returns the I/O accounting. This is the read
+    /// primitive every serving path calls; [`ErasureCode::decode`] is
+    /// what it falls back to, and what repair and the test oracles use.
+    ///
+    /// The default knows nothing about where data lives: it decodes,
+    /// then slices. [`LinearCode`](crate::LinearCode) copies the stripes
+    /// whose home block is present and recovers the rest through the
+    /// lost block's repair row.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::WrongBlockCount`] / [`CodeError::BlockSizeMismatch`]
+    ///   on malformed inputs.
+    /// * [`CodeError::InvalidDataLength`] if the range exceeds the
+    ///   message.
+    /// * [`CodeError::Undecodable`] if a stripe cannot be recovered from
+    ///   the available blocks at all.
+    ///
+    /// On error `out` is left as it was.
+    fn read_range_into(
+        &self,
+        offset: usize,
+        len: usize,
+        blocks: &[Option<&[u8]>],
+        out: &mut Vec<u8>,
+    ) -> Result<ReadStats, CodeError> {
+        crate::read::read_via_decode(self, offset, len, blocks, 0, out)
+    }
+
     /// The repair plan for reconstructing `target` when every other block
     /// is available.
     ///
@@ -169,6 +200,15 @@ impl<T: ErasureCode + ?Sized> ErasureCode for Box<T> {
     }
     fn decode(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError> {
         (**self).decode(blocks)
+    }
+    fn read_range_into(
+        &self,
+        offset: usize,
+        len: usize,
+        blocks: &[Option<&[u8]>],
+        out: &mut Vec<u8>,
+    ) -> Result<ReadStats, CodeError> {
+        (**self).read_range_into(offset, len, blocks, out)
     }
     fn repair_plan(&self, target: usize) -> Result<RepairPlan, CodeError> {
         (**self).repair_plan(target)

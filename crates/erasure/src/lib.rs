@@ -37,7 +37,7 @@ pub mod stream;
 pub use code::{BlockRole, ErasureCode};
 pub use error::CodeError;
 pub use layout::DataLayout;
-pub use linear::{AsLinearCode, ConstructionError, LinearCode};
+pub use linear::{ConstructionError, LinearCode};
 pub use object::{EncodedObject, ObjectCodec, ObjectManifest};
 pub use observe::Observed;
 pub use plan::RepairPlan;

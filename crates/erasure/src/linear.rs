@@ -18,7 +18,7 @@ use galloper_gf::Gf256;
 use galloper_linalg::{apply_parallel, apply_parallel_into, Matrix, RowBasis};
 use galloper_obs::counter;
 
-use crate::{BlockRole, CodeError, DataLayout, ErasureCode, RepairPlan};
+use crate::{BlockRole, CodeError, DataLayout, ErasureCode, ReadStats, RepairPlan};
 
 use core::fmt;
 
@@ -246,6 +246,23 @@ impl LinearCode {
         &self.repair_matrices[block]
     }
 
+    /// The blocks `block`'s repair plan reads, in the order the columns
+    /// of [`LinearCode::repair_matrix`] take them — for the read path,
+    /// which borrows a plan per lost stripe and is not a repair, so it
+    /// neither clones nor counts as [`ErasureCode::repair_plan`] does.
+    pub(crate) fn repair_sources(&self, block: usize) -> &[usize] {
+        self.plans[block].sources()
+    }
+
+    /// Where original stripe `index` is stored, as `(block, position)` —
+    /// [`DataLayout::locate`] on the code's own layout, without the
+    /// clone [`ErasureCode::layout`] hands out.
+    pub(crate) fn home_of(&self, index: usize) -> (usize, usize) {
+        self.layout
+            .locate(index)
+            .expect("every original stripe has a home position")
+    }
+
     fn split_stripes<'a>(&self, data: &'a [u8]) -> Vec<&'a [u8]> {
         data.chunks_exact(self.stripe_size).collect()
     }
@@ -390,6 +407,16 @@ impl ErasureCode for LinearCode {
         Ok(out)
     }
 
+    fn read_range_into(
+        &self,
+        offset: usize,
+        len: usize,
+        blocks: &[Option<&[u8]>],
+        out: &mut Vec<u8>,
+    ) -> Result<ReadStats, CodeError> {
+        self.read_stripes_into(offset, len, blocks, out)
+    }
+
     fn repair_plan(&self, target: usize) -> Result<RepairPlan, CodeError> {
         let plan = self
             .plans
@@ -461,22 +488,6 @@ impl ErasureCode for LinearCode {
     }
 }
 
-/// Access to a code's underlying [`LinearCode`] engine.
-///
-/// Every code family in this workspace implements this, which unlocks
-/// engine-level features (degraded range reads, repair matrices) on any
-/// generic `C: ErasureCode + AsLinearCode`.
-pub trait AsLinearCode {
-    /// The underlying validated linear code.
-    fn as_linear_code(&self) -> &LinearCode;
-}
-
-impl AsLinearCode for LinearCode {
-    fn as_linear_code(&self) -> &LinearCode {
-        self
-    }
-}
-
 /// Implements [`ErasureCode`] for a wrapper struct by delegating every
 /// method to an inner field that already implements it.
 ///
@@ -517,6 +528,15 @@ macro_rules! delegate_erasure_code {
             }
             fn decode(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, $crate::CodeError> {
                 self.$field.decode(blocks)
+            }
+            fn read_range_into(
+                &self,
+                offset: usize,
+                len: usize,
+                blocks: &[Option<&[u8]>],
+                out: &mut Vec<u8>,
+            ) -> Result<$crate::ReadStats, $crate::CodeError> {
+                self.$field.read_range_into(offset, len, blocks, out)
             }
             fn repair_plan(&self, target: usize) -> Result<$crate::RepairPlan, $crate::CodeError> {
                 self.$field.repair_plan(target)

@@ -1,11 +1,14 @@
 //! Observability wrapper for any [`ErasureCode`].
 //!
 //! [`Observed`] decorates a code with timing and counting against the
-//! global [`galloper_obs`] registry: encode/decode/reconstruct latency
-//! histograms per family (`erasure.<family>.encode_us`, …), call and
-//! byte counters, and — the quantity the paper's Fig. 8b is built on —
-//! symbols (blocks) read per repair plan
-//! (`erasure.<family>.repair.symbols_read`).
+//! global [`galloper_obs`] registry: encode/decode/read/reconstruct
+//! latency histograms per family (`erasure.<family>.encode_us`, …), call
+//! and byte counters, and — the quantity the paper's Fig. 8b is built
+//! on — symbols (blocks) read per repair plan
+//! (`erasure.<family>.repair.symbols_read`). Serving reads move
+//! `read_us`, `read.calls`, `read.bytes_read` and `read.full_decodes`;
+//! the `decode.*` names move only when a caller asks for a whole-group
+//! decode (repair's fallback, the test oracles).
 //!
 //! Metric lookups take the registry mutex once per operation; the
 //! operations themselves are matrix–vector products over whole blocks,
@@ -14,7 +17,7 @@
 
 use galloper_obs::global;
 
-use crate::{BlockRole, CodeError, DataLayout, ErasureCode, RepairPlan};
+use crate::{BlockRole, CodeError, DataLayout, ErasureCode, ReadStats, RepairPlan};
 
 /// An [`ErasureCode`] decorated with metrics, named after its family.
 #[derive(Debug, Clone)]
@@ -94,6 +97,25 @@ impl<C: ErasureCode> ErasureCode for Observed<C> {
             .counter(&self.metric("decode.bytes_read"))
             .add(available);
         self.inner.decode(blocks)
+    }
+
+    fn read_range_into(
+        &self,
+        offset: usize,
+        len: usize,
+        blocks: &[Option<&[u8]>],
+        out: &mut Vec<u8>,
+    ) -> Result<ReadStats, CodeError> {
+        let _t = global().timer(&self.metric("read_us"));
+        global().counter(&self.metric("read.calls")).inc();
+        let stats = self.inner.read_range_into(offset, len, blocks, out)?;
+        global()
+            .counter(&self.metric("read.bytes_read"))
+            .add(stats.bytes_read as u64);
+        global()
+            .counter(&self.metric("read.full_decodes"))
+            .add(u64::from(stats.full_decode));
+        Ok(stats)
     }
 
     fn repair_plan(&self, target: usize) -> Result<RepairPlan, CodeError> {

@@ -1,5 +1,8 @@
-//! Degraded range reads: serving byte ranges of the original data from
-//! partially available blocks with minimal I/O.
+//! Range reads: serving byte ranges of the original data from partially
+//! available blocks with minimal I/O. This is the workspace's one read
+//! primitive — [`ErasureCode::read_range_into`] — and every serving
+//! read (a `Dfs` GET, a gateway window, `galloper decode`) is a call to
+//! it.
 //!
 //! This is the read-path counterpart of the paper's repair story. A
 //! healthy read of original bytes touches only the stripes that hold them
@@ -12,14 +15,13 @@
 //! itself unavailable does the read fall back to a full decode.
 
 use crate::{CodeError, ErasureCode, LinearCode};
-use galloper_linalg::Matrix;
 
 /// Accounting for one range read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReadStats {
     /// Number of distinct stripes fetched from surviving blocks.
     pub stripes_read: usize,
-    /// Total bytes fetched.
+    /// Total bytes fetched (`stripes_read` × the stripe size).
     pub bytes_read: usize,
     /// Whether any requested stripe needed recovery arithmetic.
     pub degraded: bool,
@@ -28,157 +30,147 @@ pub struct ReadStats {
     pub full_decode: bool,
 }
 
+/// The exclusive end of `[offset, offset + len)`, checked against the
+/// message. `offset + len` must not wrap: a read of
+/// `(usize::MAX, 2)` would otherwise pass validation and panic deep in
+/// slicing.
+fn range_end(offset: usize, len: usize, message_len: usize) -> Result<usize, CodeError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= message_len => Ok(end),
+        end => Err(CodeError::InvalidDataLength {
+            got: end.unwrap_or(usize::MAX),
+            multiple_of: message_len,
+        }),
+    }
+}
+
+/// The worst-case read, and the whole of it for a code that knows no
+/// better: full decode, then slice. `already_read` is the stripe count
+/// a cheaper attempt fetched before giving up.
+///
+/// Conservative accounting: a full decode reads kN stripes from
+/// survivors (clamped to what actually survives). Deriving bytes from
+/// the same stripe count keeps `bytes_read == stripes_read · stripe
+/// size`.
+pub(crate) fn read_via_decode<C: ErasureCode + ?Sized>(
+    code: &C,
+    offset: usize,
+    len: usize,
+    blocks: &[Option<&[u8]>],
+    already_read: usize,
+    out: &mut Vec<u8>,
+) -> Result<ReadStats, CodeError> {
+    let end = range_end(offset, len, code.message_len())?;
+    if len == 0 {
+        return Ok(ReadStats::default());
+    }
+    let decoded = code.decode(blocks)?;
+    out.extend_from_slice(&decoded[offset..end]);
+    let big_n = code.layout().stripes_per_block();
+    let available = blocks.iter().flatten().count();
+    let stripes_read = already_read + code.num_data_blocks().min(available) * big_n;
+    Ok(ReadStats {
+        stripes_read,
+        bytes_read: stripes_read * (code.block_len() / big_n),
+        degraded: available < blocks.len(),
+        full_decode: true,
+    })
+}
+
 impl LinearCode {
-    /// Reads original bytes `[offset, offset + len)` from the available
-    /// blocks, returning the bytes and the I/O accounting.
+    /// The allocating form of [`ErasureCode::read_range_into`]: original
+    /// bytes `[offset, offset + len)` and the I/O accounting.
     ///
     /// # Errors
     ///
-    /// * [`CodeError::WrongBlockCount`] / [`CodeError::BlockSizeMismatch`]
-    ///   on malformed inputs.
-    /// * [`CodeError::InvalidDataLength`] if the range exceeds the
-    ///   message.
-    /// * [`CodeError::Undecodable`] if a stripe cannot be recovered from
-    ///   the available blocks at all.
+    /// As [`ErasureCode::read_range_into`].
     pub fn read_range(
         &self,
         offset: usize,
         len: usize,
         blocks: &[Option<&[u8]>],
     ) -> Result<(Vec<u8>, ReadStats), CodeError> {
+        let mut out = Vec::new();
+        let stats = self.read_range_into(offset, len, blocks, &mut out)?;
+        Ok((out, stats))
+    }
+
+    /// [`ErasureCode::read_range_into`] for a linear code: a stripe whose
+    /// home block is present is copied; one whose home is down is
+    /// recovered through that block's repair row from the source
+    /// *stripes* with non-zero coefficients; a down source too means
+    /// [`read_via_decode`].
+    pub(crate) fn read_stripes_into(
+        &self,
+        offset: usize,
+        len: usize,
+        blocks: &[Option<&[u8]>],
+        out: &mut Vec<u8>,
+    ) -> Result<ReadStats, CodeError> {
         if blocks.len() != self.num_blocks() {
             return Err(CodeError::WrongBlockCount {
                 got: blocks.len(),
                 expected: self.num_blocks(),
             });
         }
-        for b in blocks.iter().flatten() {
-            if b.len() != self.block_len() {
-                return Err(CodeError::BlockSizeMismatch);
-            }
+        if blocks.iter().flatten().any(|b| b.len() != self.block_len()) {
+            return Err(CodeError::BlockSizeMismatch);
         }
-        // `offset + len` must not wrap: `read_range(usize::MAX, 2, ..)`
-        // would otherwise pass validation and panic deep in slicing.
-        let end = offset
-            .checked_add(len)
-            .ok_or(CodeError::InvalidDataLength {
-                got: usize::MAX,
-                multiple_of: self.message_len(),
-            })?;
-        if end > self.message_len() {
-            return Err(CodeError::InvalidDataLength {
-                got: end,
-                multiple_of: self.message_len(),
-            });
-        }
+        let end = range_end(offset, len, self.message_len())?;
         if len == 0 {
-            return Ok((
-                Vec::new(),
-                ReadStats {
-                    stripes_read: 0,
-                    bytes_read: 0,
-                    degraded: false,
-                    full_decode: false,
-                },
-            ));
+            return Ok(ReadStats::default());
         }
 
         let ss = self.stripe_size();
-        let layout = self.layout();
-        let first = offset / ss;
-        let last = (offset + len - 1) / ss;
-
-        let mut assembled = Vec::with_capacity((last - first + 1) * ss);
-        let mut touched: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
+        let big_n = self.stripes_per_block();
+        let base = out.len();
+        out.reserve(len);
+        // Distinct stored stripes fetched, as `block · N + position`.
+        let mut touched = vec![false; self.num_blocks() * big_n];
         let mut degraded = false;
-        // A lost block is recovered stripe by stripe, and a range can
-        // cover every stripe of that block — fetch the (cloned) repair
-        // plan and matrix once per lost home block, not once per stripe.
-        let mut recovery_cache: std::collections::HashMap<usize, (crate::RepairPlan, &Matrix)> =
-            std::collections::HashMap::new();
 
-        for s in first..=last {
-            let (home, pos) = layout
-                .locate(s)
-                .expect("every original stripe has a home position");
+        for s in offset / ss..=(end - 1) / ss {
+            // The part of stripe `s` the range covers.
+            let (lo, hi) = (offset.max(s * ss) - s * ss, end.min((s + 1) * ss) - s * ss);
+            let (home, pos) = self.home_of(s);
             if let Some(block) = blocks[home] {
-                touched.insert((home, pos));
-                assembled.extend_from_slice(&block[pos * ss..(pos + 1) * ss]);
+                touched[home * big_n + pos] = true;
+                out.extend_from_slice(&block[pos * ss + lo..pos * ss + hi]);
                 continue;
             }
             degraded = true;
             // Recover via the home block's repair matrix: stored stripe
             // `pos` = repair_matrix(home).row(pos) · (source stripes).
-            let (plan, rm) = match recovery_cache.entry(home) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert((self.repair_plan(home)?, self.repair_matrix(home)))
-                }
-            };
-            let sources = plan.sources();
+            let sources = self.repair_sources(home);
             if sources.iter().any(|&src| blocks[src].is_none()) {
                 // A source is down as well: fall back to full decode.
-                return self.read_range_via_decode(offset, len, blocks, touched.len());
+                out.truncate(base);
+                let fetched = touched.iter().filter(|&&t| t).count();
+                return read_via_decode(self, offset, len, blocks, fetched, out);
             }
-            let row = rm.row(pos);
-            let big_n = self.stripes_per_block();
-            let mut stripe = vec![0u8; ss];
-            for (j, &coeff) in row.iter().enumerate() {
+            let at = out.len();
+            out.resize(at + hi - lo, 0);
+            for (j, &coeff) in self.repair_matrix(home).row(pos).iter().enumerate() {
                 if coeff != 0 {
-                    let src_block = sources[j / big_n];
-                    let src_pos = j % big_n;
-                    touched.insert((src_block, src_pos));
+                    let (src_block, src_pos) = (sources[j / big_n], j % big_n);
+                    touched[src_block * big_n + src_pos] = true;
                     let data = blocks[src_block].expect("checked available");
                     galloper_gf::slice::mul_slice_add(
                         coeff,
-                        &data[src_pos * ss..(src_pos + 1) * ss],
-                        &mut stripe,
+                        &data[src_pos * ss + lo..src_pos * ss + hi],
+                        &mut out[at..],
                     );
                 }
             }
-            assembled.extend_from_slice(&stripe);
         }
 
-        let start = offset - first * ss;
-        let out = assembled[start..start + len].to_vec();
-        Ok((
-            out,
-            ReadStats {
-                stripes_read: touched.len(),
-                bytes_read: touched.len() * ss,
-                degraded,
-                full_decode: false,
-            },
-        ))
-    }
-
-    /// Worst-case path: full decode, then slice.
-    fn read_range_via_decode(
-        &self,
-        offset: usize,
-        len: usize,
-        blocks: &[Option<&[u8]>],
-        already_read: usize,
-    ) -> Result<(Vec<u8>, ReadStats), CodeError> {
-        let decoded = self.decode(blocks)?;
-        let available_blocks = blocks.iter().flatten().count();
-        // Conservative accounting: a full decode reads kN stripes from
-        // survivors (clamped to what actually survives, plus whatever was
-        // fetched before the fallback). Deriving bytes from the same
-        // stripe count keeps `bytes_read == stripes_read * stripe_size()`.
-        let stripes_read = already_read
-            + (self.num_data_blocks() * self.stripes_per_block())
-                .min(available_blocks * self.stripes_per_block());
-        Ok((
-            decoded[offset..offset + len].to_vec(),
-            ReadStats {
-                stripes_read,
-                bytes_read: stripes_read * self.stripe_size(),
-                degraded: true,
-                full_decode: true,
-            },
-        ))
+        let stripes_read = touched.iter().filter(|&&t| t).count();
+        Ok(ReadStats {
+            stripes_read,
+            bytes_read: stripes_read * ss,
+            degraded,
+            full_decode: false,
+        })
     }
 }
 

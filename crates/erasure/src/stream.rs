@@ -11,8 +11,8 @@
 //!   encoded coding groups through a [`GroupSink`] as soon as each is
 //!   complete. Tail zero-padding happens once, inside [`StripeEncoder::finish`].
 //! * [`StripeDecoder`] — feed one group's block availability at a time,
-//!   receive exactly the object bytes that group carries (the driver
-//!   truncates the final group's padding).
+//!   receive exactly the object bytes that group carries (a range read
+//!   that ends where the object does, so tail padding is never read).
 //! * [`StripeReconstructor`] — rebuild one block of every group from its
 //!   repair plan's sources, group by group.
 //!
@@ -426,8 +426,9 @@ impl<'c, C: ErasureCode, S: GroupSink> StripeEncoder<'c, C, S> {
     }
 }
 
-/// Incremental decoder: recovers an object group by group, truncating
-/// the final group's padding so callers never see it.
+/// Incremental decoder: recovers an object group by group, stopping
+/// the final group's read where the object ends so callers never see
+/// its padding.
 ///
 /// Feed each group's block availability (in group order) to
 /// [`StripeDecoder::next_group`]; it returns exactly the object bytes
@@ -469,24 +470,18 @@ impl<'c, C: ErasureCode> StripeDecoder<'c, C> {
         self.next_group == self.num_groups
     }
 
-    /// Repositions the decoder at coding group `group`, as if every
-    /// earlier group had already been decoded — the entry point for
-    /// serving one window of a chunked read without replaying the whole
-    /// object. Tail-padding truncation still works because the bytes
-    /// "already emitted" are recomputed from the group index.
-    pub fn seek_group(&mut self, group: usize) {
-        self.next_group = group.min(self.num_groups);
-        self.emitted = (self.next_group * self.code.message_len()).min(self.object_len);
-    }
-
-    /// Decodes the next group from its block availability (`None` marks
+    /// Reads the next group from its block availability (`None` marks
     /// an erased block) and returns the object bytes it carries — a full
     /// message for interior groups, the unpadded remainder for the tail.
+    /// It is one [`ErasureCode::read_range_into`] over the span of the
+    /// group the object occupies, so present stripes are copied, a lost
+    /// block's stripes come through its repair row, and the tail's
+    /// padding is never read at all.
     ///
     /// # Errors
     ///
     /// * [`StreamError::TooManyGroups`] once every group was decoded.
-    /// * [`StreamError::Code`] if the group cannot be decoded.
+    /// * [`StreamError::Code`] if the group cannot be read.
     pub fn next_group(&mut self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, StreamError> {
         if self.next_group >= self.num_groups {
             return Err(StreamError::TooManyGroups {
@@ -495,11 +490,11 @@ impl<'c, C: ErasureCode> StripeDecoder<'c, C> {
         }
         let _span = group_span("stream.decode_group");
         let t0 = Instant::now();
-        let mut payload = self.code.decode(blocks)?;
+        let take = (self.object_len - self.emitted).min(self.code.message_len());
+        let mut payload = Vec::new();
+        self.code.read_range_into(0, take, blocks, &mut payload)?;
         group_hist().record(t0.elapsed().as_micros() as u64);
         counter!("stream.groups", 1);
-        let take = payload.len().min(self.object_len - self.emitted);
-        payload.truncate(take);
         self.emitted += take;
         self.next_group += 1;
         Ok(payload)
@@ -807,29 +802,6 @@ mod tests {
         let (m, _) = enc.finish().unwrap();
         assert_eq!(m.num_groups, 5, "no spurious zero group on resume");
         assert!(!called);
-    }
-
-    #[test]
-    fn decoder_seek_group_serves_interior_and_tail_windows() {
-        let code = xor_code(4); // message_len = 8
-        let data: Vec<u8> = (0..19).map(|i| (i * 5 + 1) as u8).collect(); // 3 groups, ragged
-        let (manifest, groups) = collect_groups(&code, &data, 19);
-        for start in 0..groups.len() {
-            let mut dec = StripeDecoder::new(&code, manifest);
-            dec.seek_group(start);
-            assert_eq!(dec.groups_done(), start);
-            let mut out = Vec::new();
-            for blocks in &groups[start..] {
-                let avail: Vec<Option<&[u8]>> = blocks.iter().map(|b| Some(b.as_slice())).collect();
-                out.extend_from_slice(&dec.next_group(&avail).unwrap());
-            }
-            assert_eq!(out, &data[(start * 8).min(data.len())..], "start={start}");
-            assert_eq!(dec.finish().unwrap(), 19);
-        }
-        // Seeking past the end clamps: the decoder is simply done.
-        let mut dec = StripeDecoder::new(&code, manifest);
-        dec.seek_group(99);
-        assert!(dec.is_done());
     }
 
     #[test]

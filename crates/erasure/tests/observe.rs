@@ -22,7 +22,30 @@ fn observed_counts_operations_and_symbols() {
     let rebuilt = code.reconstruct(0, &sources).unwrap();
     assert_eq!(rebuilt, blocks[0]);
 
+    // Serving reads: one healthy range read (copies two stripes), one
+    // that loses a block *and* one of its repair sources (full decode).
+    let mut out = Vec::new();
+    let healthy = code.read_range_into(60, 8, &avail, &mut out).unwrap();
+    let mut holed = avail.clone();
+    (holed[0], holed[1]) = (None, None);
+    let fallback = code.read_range_into(0, 8, &holed, &mut out).unwrap();
+    assert_eq!(out, [&data[60..68], &data[0..8]].concat());
+    assert!(fallback.full_decode && !healthy.full_decode);
+
     let g = global();
+    assert_eq!(g.counter("erasure.rs_test_observe.read.calls").get(), 2);
+    assert_eq!(
+        g.counter("erasure.rs_test_observe.read.bytes_read").get(),
+        (healthy.bytes_read + fallback.bytes_read) as u64
+    );
+    assert_eq!(
+        g.counter("erasure.rs_test_observe.read.full_decodes").get(),
+        1
+    );
+    assert_eq!(g.histogram("erasure.rs_test_observe.read_us").count(), 2);
+    // The fallback ran inside the engine: the family's `decode.*` names
+    // saw only the explicit `decode` above.
+    assert_eq!(g.counter("erasure.rs_test_observe.decode.calls").get(), 1);
     assert_eq!(g.counter("erasure.rs_test_observe.encode.calls").get(), 1);
     assert_eq!(
         g.counter("erasure.rs_test_observe.encode.bytes").get(),

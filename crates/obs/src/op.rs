@@ -313,7 +313,7 @@ pub struct OpReport {
     pub stripes: u64,
     /// Read retries taken across transient faults.
     pub retries: u64,
-    /// Coding groups that needed a degraded decode.
+    /// Coding groups read with an unusable block among them.
     pub degraded_reads: u64,
     /// Repairs this operation triggered (enqueued or executed).
     pub repair_triggers: u64,

@@ -199,12 +199,6 @@ impl Pyramid {
 
 delegate_erasure_code!(Pyramid, inner);
 
-impl galloper_erasure::AsLinearCode for Pyramid {
-    fn as_linear_code(&self) -> &LinearCode {
-        &self.inner
-    }
-}
-
 /// Returns every size-`size` subset of `0..n`. Exposed for exhaustive
 /// failure-pattern tests here and in dependent crates' test suites.
 pub fn subsets(n: usize, size: usize) -> Vec<Vec<usize>> {

@@ -106,12 +106,6 @@ impl ReedSolomon {
 
 delegate_erasure_code!(ReedSolomon, inner);
 
-impl galloper_erasure::AsLinearCode for ReedSolomon {
-    fn as_linear_code(&self) -> &LinearCode {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,6 +51,28 @@ if grep -rnE 'GALLOPER_IO_MODE|GALLOPER_STREAM_GROUPS|IoMode|with_concurrency|Ba
   exit 1
 fi
 
+# Every read is a range read: `ErasureCode::read_range_into` is the one
+# primitive, `Dfs::read_span` its one caller in the namespace, and
+# `StripeDecoder` a driver over it. `decode` stays for what is not a
+# serving read — the primitive's own fallback, `repair_group`'s
+# decode + re-encode, `can_decode`'s default, the `ObjectCodec` oracle.
+echo "==> one read core"
+if grep -rnE 'decode_groups|decode_range|read_range_via_decode|seek_group|AsLinearCode|as_linear_code' \
+  crates src tests examples README.md DESIGN.md; then
+  echo "ci: a deleted read path is back; serve the read through read_range_into"
+  exit 1
+fi
+range_reads="$(grep -c '\.read_range_into(' crates/dfs/src/fs.rs || true)"
+decodes="$(grep -c '\.decode(' crates/dfs/src/fs.rs || true)"
+if [ "$range_reads" -ne 1 ] || [ "$decodes" -ne 1 ]; then
+  echo "ci: fs.rs has $range_reads read_range_into and $decodes decode call sites; want 1 (read_span) and 1 (repair_group)"
+  exit 1
+fi
+if sed -n "/^impl<'c, C: ErasureCode> StripeDecoder/,/^}/p" crates/erasure/src/stream.rs | grep -n '\.decode('; then
+  echo "ci: StripeDecoder decodes on its own again; it is a driver over read_range_into"
+  exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 

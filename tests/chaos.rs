@@ -12,7 +12,7 @@
 use galloper_suite::codes::{Carousel, ErasureCode, Galloper, Pyramid, ReedSolomon};
 use galloper_suite::dfs::{
     faults::{self, MAX_OUTAGE_TICKS},
-    AsLinearCode, Dfs, DfsError, Fault, FaultPlan, FaultPlanConfig, ReadOptions, ReadOutcome,
+    Dfs, DfsError, Fault, FaultPlan, FaultPlanConfig, ReadOptions, ReadOutcome,
 };
 use galloper_testkit::TestRng;
 
@@ -21,10 +21,10 @@ const HORIZON: u64 = 120;
 
 fn soak<C>(family: &str, code: C, num_servers: usize, tolerance: usize)
 where
-    C: ErasureCode + AsLinearCode,
+    C: ErasureCode,
 {
     let n_blocks = code.num_blocks();
-    let stripe_size = code.as_linear_code().stripe_size();
+    let stripe_size = code.block_len() / code.layout().stripes_per_block();
     let mut dfs = Dfs::new(num_servers, code);
     // Enough headroom to wait out chained outage windows near the end of
     // the schedule (1+2+...+128 ticks ≫ the widest possible chain).
@@ -89,6 +89,11 @@ where
                 .read(name, patient)
                 .unwrap_or_else(|e| panic!("{family} t={t} {name}: {e}"));
             assert_eq!(&whole.bytes, data, "{family} t={t} {name}: get corrupted");
+            assert_eq!(
+                whole.stats.bytes_read,
+                whole.stats.stripes_read * stripe_size,
+                "{family} t={t} {name}: whole-object accounting out of step"
+            );
         }
         let (name, data) = &files[rng.usize_in(0, files.len())];
         let offset = rng.usize_in(0, data.len());

@@ -1,7 +1,9 @@
 //! Cross-crate degraded-read tests: byte-range reads under failures for
 //! every code family, with I/O-amplification assertions.
 
-use galloper_suite::codes::{Carousel, ErasureCode, Galloper, Pyramid, ReedSolomon};
+use galloper_suite::codes::{
+    build_code, Carousel, CodeSpec, ErasureCode, Galloper, Pyramid, ReedSolomon,
+};
 
 fn sample(len: usize) -> Vec<u8> {
     (0..len)
@@ -98,4 +100,64 @@ fn healthy_reads_have_no_amplification() {
     assert_eq!(bytes, &data[256..768]);
     assert_eq!(stats.bytes_read, 512);
     assert!(!stats.degraded);
+}
+
+#[test]
+fn whole_message_reads_recover_a_lost_block_from_its_plan_alone() {
+    // The paper's guarantee on the one read path, through every forward
+    // a gateway's code goes through (`Box<Observed<family>>`): with any
+    // single block lost, reading the whole message is a copy of the
+    // healthy home stripes plus the lost block's repair plan — never a
+    // decode, and never a byte from anywhere else.
+    let specs = [
+        CodeSpec::rs(4, 2, 64),
+        CodeSpec::pyramid(4, 2, 1, 64),
+        CodeSpec::carousel(4, 2, 16),
+        CodeSpec::galloper(4, 2, 1, 16),
+        CodeSpec::galloper_asl(4, 2, 2, 16),
+    ];
+    for spec in specs {
+        let name = spec.family.clone();
+        let code = build_code(&spec).unwrap();
+        let (n, msg, layout) = (code.num_blocks(), code.message_len(), code.layout());
+        let ss = code.block_len() / layout.stripes_per_block();
+        let data = sample(msg);
+        let blocks = code.encode(&data).unwrap();
+        for lost in 0..n {
+            // Everything the read has no business touching is garbage:
+            // all but the home stripes of the surviving blocks and, when
+            // the lost block bore data, the blocks its plan names.
+            let sources = code.repair_plan(lost).unwrap().sources().to_vec();
+            let needs_plan = layout.data_stripes(lost) > 0;
+            let mut poisoned = blocks.clone();
+            for (b, block) in poisoned.iter_mut().enumerate() {
+                if !(needs_plan && sources.contains(&b)) {
+                    block[layout.data_stripes(b) * ss..].fill(0xA5);
+                }
+            }
+            let avail: Vec<Option<&[u8]>> = poisoned
+                .iter()
+                .enumerate()
+                .map(|(b, block)| (b != lost).then_some(block.as_slice()))
+                .collect();
+            let mut out = Vec::new();
+            let stats = code
+                .read_range_into(0, msg, &avail, &mut out)
+                .unwrap_or_else(|e| panic!("{name} lost={lost}: {e}"));
+            assert_eq!(out, data, "{name} lost={lost}");
+            assert!(
+                !stats.full_decode,
+                "{name} lost={lost}: fell back to decode"
+            );
+            assert_eq!(stats.degraded, needs_plan, "{name} lost={lost}");
+            let home = msg / ss - layout.data_stripes(lost);
+            let planned = sources.len() * layout.stripes_per_block();
+            assert!(
+                (home..=home + planned).contains(&stats.stripes_read),
+                "{name} lost={lost}: {} stripes for {home} home + ≤{planned} planned",
+                stats.stripes_read
+            );
+            assert_eq!(stats.bytes_read, stats.stripes_read * ss, "{name}");
+        }
+    }
 }

@@ -4,7 +4,10 @@
 //! the range falls. This pins the contract the DFS repair-bill metrics
 //! and the paper's disk-I/O comparisons are built on.
 
-use galloper_suite::codes::{Carousel, ErasureCode, Galloper, LinearCode, Pyramid, ReedSolomon};
+use galloper_suite::codes::{
+    build_code, Carousel, CodeError, CodeSpec, ErasureCode, Galloper, LinearCode, Pyramid,
+    ReedSolomon,
+};
 use galloper_testkit::{run_cases, TestRng};
 
 fn families() -> Vec<(&'static str, LinearCode)> {
@@ -83,6 +86,87 @@ fn bytes_read_is_stripes_read_times_stripe_size_everywhere() {
             }
         }
     });
+}
+
+/// The group as a reader sees it with the `erased` blocks gone.
+fn without<'a>(blocks: &'a [Vec<u8>], erased: &[usize]) -> Vec<Option<&'a [u8]>> {
+    let kept = blocks.iter().enumerate();
+    kept.map(|(b, block)| (!erased.contains(&b)).then_some(block.as_slice()))
+        .collect()
+}
+
+#[test]
+fn single_loss_reads_touch_exactly_the_home_stripes_and_the_planned_source_stripes() {
+    // What a whole-message read fetches with one block lost, stripe for
+    // stripe: every data stripe still at home, plus — per data stripe of
+    // the lost block — the source stripes its repair row has a non-zero
+    // coefficient for. Nothing else, and no decode.
+    for (name, code) in families() {
+        let (n, big_n, layout) = (code.num_blocks(), code.stripes_per_block(), code.layout());
+        let data: Vec<u8> = TestRng::new(0x0A11).bytes(code.message_len());
+        let blocks = code.encode(&data).unwrap();
+        for lost in 0..n {
+            let mut expect = std::collections::BTreeSet::new();
+            for b in (0..n).filter(|&b| b != lost) {
+                expect.extend((0..layout.data_stripes(b)).map(|pos| (b, pos)));
+            }
+            let sources = code.repair_plan(lost).unwrap().sources().to_vec();
+            for pos in 0..layout.data_stripes(lost) {
+                let row = code.repair_matrix(lost).row(pos);
+                let used = (0..row.len()).filter(|&j| row[j] != 0);
+                expect.extend(used.map(|j| (sources[j / big_n], j % big_n)));
+            }
+            let avail = without(&blocks, &[lost]);
+            let (bytes, stats) = code.read_range(0, data.len(), &avail).unwrap();
+            assert_eq!(bytes, data, "{name} lost={lost}");
+            assert!(!stats.full_decode, "{name} lost={lost}");
+            assert_eq!(stats.stripes_read, expect.len(), "{name} lost={lost}");
+        }
+    }
+}
+
+#[test]
+fn every_loss_pattern_reads_what_the_decode_oracle_decodes() {
+    // `decode` is the independent oracle: over every pattern of up to
+    // one loss more than each family tolerates, a whole-message read
+    // succeeds exactly where a decode does — byte-exact inside the
+    // tolerance, `Undecodable` (never wrong bytes) beyond it.
+    let specs = [
+        (CodeSpec::rs(4, 2, 64), 2),
+        (CodeSpec::pyramid(4, 2, 1, 64), 2),
+        (CodeSpec::carousel(4, 2, 16), 2),
+        (CodeSpec::galloper(4, 2, 1, 16), 2),
+        (CodeSpec::galloper_asl(4, 2, 2, 16), 3),
+    ];
+    for (spec, tolerance) in specs {
+        let name = spec.family.clone();
+        let code = build_code(&spec).unwrap();
+        let (n, msg) = (code.num_blocks(), code.message_len());
+        let data: Vec<u8> = TestRng::new(0x0DEC).bytes(msg);
+        let blocks = code.encode(&data).unwrap();
+        for size in 0..=tolerance + 1 {
+            for erased in galloper_pyramid::subsets(n, size) {
+                let avail = without(&blocks, &erased);
+                let oracle = code.decode(&avail);
+                assert!(size > tolerance || oracle.is_ok(), "{name} {erased:?}");
+                let mut out = Vec::new();
+                match (code.read_range_into(0, msg, &avail, &mut out), oracle) {
+                    (Ok(_), Ok(decoded)) => {
+                        assert_eq!(decoded, data, "{name} {erased:?}: oracle");
+                        assert_eq!(out, data, "{name} {erased:?}: read");
+                    }
+                    (Err(CodeError::Undecodable { .. }), Err(_)) => {
+                        assert!(out.is_empty(), "{name} {erased:?}: bytes on error");
+                    }
+                    (read, oracle) => panic!(
+                        "{name} {erased:?}: read {:?} but decode {:?}",
+                        read.map(|_| ()),
+                        oracle.map(|_| ())
+                    ),
+                }
+            }
+        }
+    }
 }
 
 #[test]

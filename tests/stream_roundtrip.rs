@@ -112,6 +112,42 @@ fn streaming_decode_recovers_exact_bytes_with_a_lost_block() {
 }
 
 #[test]
+fn streaming_decode_equals_the_global_decode_oracle_for_every_tolerated_pattern() {
+    // `StripeDecoder` range-reads; `ObjectCodec::decode_object` globally
+    // decodes every group. Over every loss pattern a family tolerates
+    // (any g + 1 blocks with local parities, any g without) the two must
+    // return the same bytes: the object's.
+    for (name, spec) in families() {
+        let tolerance = spec.g + usize::from(spec.l > 0);
+        let code = build_code(&spec).unwrap();
+        let codec = ObjectCodec::new(build_code(&spec).unwrap());
+        let data = sample(3 * code.message_len() - 7, 11);
+        let (manifest, groups, _) = stream_encode(&code, &data, 4096);
+        for size in 0..=tolerance {
+            for erased in galloper_pyramid::subsets(code.num_blocks(), size) {
+                let available: Vec<Vec<Option<&[u8]>>> = groups
+                    .iter()
+                    .map(|blocks| {
+                        let kept = blocks.iter().enumerate();
+                        kept.map(|(b, block)| (!erased.contains(&b)).then_some(block.as_slice()))
+                            .collect()
+                    })
+                    .collect();
+                let mut decoder = StripeDecoder::new(&code, manifest);
+                let mut out = Vec::new();
+                for group in &available {
+                    out.extend_from_slice(&decoder.next_group(group).unwrap());
+                }
+                assert_eq!(decoder.finish().unwrap(), data.len());
+                let oracle = codec.decode_object(&available, manifest).unwrap();
+                assert_eq!(out, oracle, "{name} erased={erased:?}");
+                assert_eq!(out, data, "{name} erased={erased:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn streaming_reconstruct_rebuilds_every_block_groupwise() {
     for (name, spec) in families() {
         let code = build_code(&spec).unwrap();
