@@ -32,14 +32,12 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use galloper_codes::BuildError;
-use galloper_erasure::stream::{
-    AlignedBuf, GroupSink, StreamError, StripeDecoder, StripeEncoder, StripeReconstructor,
-};
-use galloper_erasure::{ErasureCode, ObjectManifest};
+use galloper_erasure::stream::{AlignedBuf, GroupSink, StreamError, StripeDecoder, StripeEncoder};
+use galloper_erasure::{ErasureCode, ObjectManifest, RebuildPlan, RepairPlan};
 use galloper_obs::{counter, global};
 
 use crate::ingest::Mmap;
-use crate::{build_code, CodeSpec, Manifest, ManifestError};
+use crate::{build_code, BoxedCode, CodeSpec, Manifest, ManifestError};
 
 use core::fmt;
 
@@ -148,6 +146,13 @@ fn block_path(dir: &Path, block: usize) -> PathBuf {
 
 fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("object.manifest")
+}
+
+/// The manifest of the encoded directory `dir` and the code it records.
+fn open_dir(dir: &Path) -> Result<(Manifest, BoxedCode), CliError> {
+    let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
+    let code = build_code(&manifest.spec)?;
+    Ok((manifest, code))
 }
 
 /// A [`GroupSink`] appending each block's bytes to its own file — one
@@ -316,8 +321,7 @@ fn open_block(
 /// [`CliError`] if the surviving blocks cannot be decoded or on I/O
 /// failure.
 pub fn decode_file(dir: &Path, output: &Path) -> Result<(), CliError> {
-    let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
-    let code = build_code(&manifest.spec)?;
+    let (manifest, code) = open_dir(dir)?;
     let n = code.num_blocks();
     let group_len = code.block_len();
     let file_len = group_len * manifest.num_groups;
@@ -356,57 +360,117 @@ pub fn decode_file(dir: &Path, output: &Path) -> Result<(), CliError> {
 /// Rebuilds block `target`'s file in `dir` from its repair plan's source
 /// files, group by group. Returns the number of source blocks read.
 ///
-/// Only the plan's source files are opened — the disk-I/O frugality that
-/// locally repairable codes exist for — and the rebuilt block streams to
-/// a temporary file that replaces the target atomically at the end.
+/// A local repair: only the plan's source files are opened — the
+/// disk-I/O frugality that locally repairable codes exist for — through
+/// the same rebuild pass as [`fsck`], so the block streams to a
+/// temporary file that replaces the target at the end.
 ///
 /// # Errors
 ///
 /// [`CliError::MissingSources`] if a required source file is absent;
 /// other variants on I/O or coding failure.
 pub fn repair_block(dir: &Path, target: usize) -> Result<usize, CliError> {
-    let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
-    let code = build_code(&manifest.spec)?;
-    let group_len = code.block_len();
-    let file_len = group_len * manifest.num_groups;
+    let (manifest, code) = open_dir(dir)?;
+    let others: Vec<bool> = (0..code.num_blocks()).map(|b| b != target).collect();
+    let plan = RebuildPlan::new(&code, &[target], &others)?;
+    rebuild_files(dir, &code, manifest.num_groups, &plan)?;
+    Ok(plan.reads().len())
+}
 
-    let mut rec = StripeReconstructor::new(&code, target, manifest.num_groups)?;
-    let src_ids = rec.plan().sources().to_vec();
-    let mut readers = Vec::with_capacity(src_ids.len());
+/// The one rebuild pass over an encoded directory: streams the block
+/// files `plan` reads through [`RebuildPlan::apply`] one group at a
+/// time, writing each rebuilt block to its own temporary file, and
+/// renames those into place once every group is through. Only the
+/// [`reads`](RebuildPlan::reads) files are opened, and memory is one
+/// group buffer per file read. A failed pass leaves no temporary file.
+fn rebuild_files(
+    dir: &Path,
+    code: &BoxedCode,
+    num_groups: usize,
+    plan: &RebuildPlan,
+) -> Result<(), CliError> {
+    let targets = plan.targets();
+    let group_len = code.block_len();
+    let mut readers = Vec::with_capacity(plan.reads().len());
     let mut missing = Vec::new();
-    for &s in &src_ids {
-        match open_block(dir, s, file_len)? {
+    for &b in plan.reads() {
+        match open_block(dir, b, group_len * num_groups)? {
             Some(r) => readers.push(r),
-            None => missing.push(s),
+            None => missing.push(b),
         }
     }
     if !missing.is_empty() {
         return Err(CliError::MissingSources(missing));
     }
 
-    let tmp_path = dir.join(format!("block_{target}.bin.tmp"));
-    let mut out = io::BufWriter::new(fs::File::create(&tmp_path)?);
-    let mut bufs: Vec<Vec<u8>> = (0..src_ids.len()).map(|_| vec![0u8; group_len]).collect();
-    for _ in 0..manifest.num_groups {
-        for (reader, buf) in readers.iter_mut().zip(bufs.iter_mut()) {
-            reader.read_exact(buf)?;
-        }
-        let sources: Vec<(usize, &[u8])> = src_ids
+    let tmp: Vec<PathBuf> = targets
+        .iter()
+        .map(|b| dir.join(format!("block_{b}.bin.tmp")))
+        .collect();
+    let placed = (|| -> Result<(), CliError> {
+        let mut outs = tmp
             .iter()
-            .copied()
-            .zip(bufs.iter().map(Vec::as_slice))
-            .collect();
-        out.write_all(&rec.next_group(&sources)?)?;
+            .map(fs::File::create)
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut bufs: Vec<Vec<u8>> = readers.iter().map(|_| vec![0u8; group_len]).collect();
+        for _ in 0..num_groups {
+            let mut blocks: Vec<Option<&[u8]>> = vec![None; code.num_blocks()];
+            for ((reader, buf), &b) in readers.iter_mut().zip(&mut bufs).zip(plan.reads()) {
+                reader.read_exact(buf)?;
+                blocks[b] = Some(&**buf);
+            }
+            // One write per rebuilt block; they come back in ascending
+            // order, as `targets`.
+            let rebuilt = plan.apply(code, &blocks)?;
+            for (out, bytes) in outs.iter_mut().zip(rebuilt.iter().flatten()) {
+                out.write_all(bytes)?;
+            }
+        }
+        drop(outs);
+        for (path, &b) in tmp.iter().zip(&targets) {
+            fs::rename(path, block_path(dir, b))?;
+        }
+        Ok(())
+    })();
+    if placed.is_err() {
+        for path in &tmp {
+            let _ = fs::remove_file(path);
+        }
     }
-    rec.finish()?;
-    out.flush()?;
-    drop(out);
-    fs::rename(&tmp_path, block_path(dir, target))?;
-    Ok(src_ids.len())
+    placed
+}
+
+/// The one presence scan over an encoded directory: each block file's
+/// size on disk (`None` when missing) and the availability mask a code
+/// takes. A file at any size but the one the manifest implies is an
+/// erasure, exactly like the DFS's CRC check reclassifying a corrupt
+/// block.
+fn scan_blocks(dir: &Path, expected: usize, n: usize) -> (Vec<Option<u64>>, Vec<bool>) {
+    let sizes: Vec<Option<u64>> = (0..n)
+        .map(|b| fs::metadata(block_path(dir, b)).ok().map(|m| m.len()))
+        .collect();
+    let present = sizes.iter().map(|&s| s == Some(expected as u64)).collect();
+    (sizes, present)
+}
+
+/// The health line both reports end with (or start from): how many
+/// blocks are present and whether the object is healthy, `degraded`
+/// (still decodable) or unrecoverable.
+fn health_line(code: &BoxedCode, present: &[bool], degraded: &str) -> String {
+    let (have, n) = (present.iter().filter(|&&p| p).count(), present.len());
+    let state = if have == n {
+        "fully healthy"
+    } else if code.can_decode(present) {
+        degraded
+    } else {
+        "UNRECOVERABLE"
+    };
+    format!("{have} of {n} blocks present; object is {state}\n")
 }
 
 /// Checks an encoded directory's health: which block files are present,
-/// whether the object is still decodable, and what a repair would read.
+/// whether the object is still decodable, and which lost blocks local
+/// repairs rebuild without a decode.
 ///
 /// Returns `(report, decodable)`.
 ///
@@ -414,55 +478,30 @@ pub fn repair_block(dir: &Path, target: usize) -> Result<usize, CliError> {
 ///
 /// [`CliError`] on manifest problems or unreadable block files.
 pub fn check(dir: &Path) -> Result<(String, bool), CliError> {
-    let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
-    let code = build_code(&manifest.spec)?;
+    let (manifest, code) = open_dir(dir)?;
     let n = code.num_blocks();
     let expected = code.block_len() * manifest.num_groups;
-    let mut present = vec![false; n];
-    let mut report = String::new();
-    for (b, p) in present.iter_mut().enumerate() {
-        match fs::metadata(block_path(dir, b)) {
-            Ok(meta) => {
-                if meta.len() as usize == expected {
-                    *p = true;
-                } else {
-                    report.push_str(&format!(
-                        "  block {b}: WRONG SIZE ({} bytes, expected {expected})\n",
-                        meta.len()
-                    ));
-                }
-            }
-            Err(_) => report.push_str(&format!("  block {b}: MISSING\n")),
+    let (sizes, present) = scan_blocks(dir, expected, n);
+    let mut report = health_line(&code, &present, "DEGRADED but decodable");
+    for (b, size) in sizes.iter().enumerate() {
+        match size {
+            None => report.push_str(&format!("  block {b}: MISSING\n")),
+            Some(got) if !present[b] => report.push_str(&format!(
+                "  block {b}: WRONG SIZE ({got} bytes, expected {expected})\n"
+            )),
+            Some(_) => {}
         }
     }
-    let lost = present.iter().filter(|&&p| !p).count();
-    let decodable = code.can_decode(&present);
-    report.insert_str(
-        0,
-        &format!(
-            "{} of {n} blocks present; object is {}\n",
-            n - lost,
-            if lost == 0 {
-                "fully healthy"
-            } else if decodable {
-                "DEGRADED but decodable"
-            } else {
-                "UNRECOVERABLE"
-            }
-        ),
-    );
-    if lost > 0 && decodable {
-        let repairable: Vec<usize> = (0..n)
-            .filter(|&b| {
-                !present[b]
-                    && code
-                        .repair_plan(b)
-                        .map(|p| p.sources().iter().all(|&s| present[s]))
-                        .unwrap_or(false)
-            })
-            .collect();
+    let lost: Vec<usize> = (0..n).filter(|&b| !present[b]).collect();
+    let plan = RebuildPlan::new(&code, &lost, &present)?;
+    let decodable = plan.stranded().is_empty();
+    if !lost.is_empty() && decodable {
+        // A chained target's plan reads an earlier target, so the order
+        // matters when the blocks are repaired one at a time.
+        let repairable: Vec<usize> = plan.local().iter().map(RepairPlan::target).collect();
         report.push_str(&format!(
-            "locally repairable now: {repairable:?} (run `galloper repair <dir> <block>`)\n"
+            "locally repairable now, in this order: {repairable:?} \
+             (run `galloper repair <dir> <block>` for each, or `galloper fsck <dir> --repair`)\n"
         ));
     }
     Ok((report, decodable))
@@ -470,109 +509,61 @@ pub fn check(dir: &Path) -> Result<(String, bool), CliError> {
 
 /// Filesystem-check over an encoded directory: verifies every block
 /// file, and with `repair` set rebuilds whatever is missing or the
-/// wrong size — cheap local repairs first, then a full decode +
-/// re-encode fallback for anything a local plan cannot reach.
+/// wrong size.
 ///
 /// Returns `(report, healthy)` where `healthy` reflects the state
 /// *after* any repairs.
 ///
-/// The repair pass iterates local plans to a fixed point (rebuilding one
-/// block can complete another block's source set), so the expensive
-/// fallback runs only when no chain of local repairs covers the damage.
-/// Wrong-sized block files are deleted first under `repair` — an
-/// unreadable block is an erasure, exactly like the DFS's CRC check
-/// reclassifying a corrupt block.
+/// The repair is one [`RebuildPlan`] for the directory's loss pattern —
+/// local plans chained to a fixed point, one decode + re-encode per group
+/// for what no chain reaches — run in one pass over the block files it
+/// reads. Wrong-sized block files are deleted first under `repair`.
 ///
 /// # Errors
 ///
-/// [`CliError`] on manifest problems, undecodable damage during the
-/// fallback, or I/O failure.
+/// [`CliError`] on manifest problems or I/O failure.
 pub fn fsck(dir: &Path, repair: bool) -> Result<(String, bool), CliError> {
-    let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
-    let code = build_code(&manifest.spec)?;
+    let (manifest, code) = open_dir(dir)?;
     let n = code.num_blocks();
     let expected = code.block_len() * manifest.num_groups;
+    let (sizes, mut present) = scan_blocks(dir, expected, n);
     let mut report = String::new();
-
-    let mut present = vec![false; n];
-    for (b, p) in present.iter_mut().enumerate() {
-        match fs::metadata(block_path(dir, b)) {
-            Ok(meta) if meta.len() as usize == expected => *p = true,
-            Ok(meta) => {
+    for (b, size) in sizes.iter().enumerate() {
+        match size {
+            None => report.push_str(&format!("block {b}: missing\n")),
+            Some(got) if !present[b] => {
                 report.push_str(&format!(
-                    "block {b}: wrong size ({} bytes, expected {expected})",
-                    meta.len()
+                    "block {b}: wrong size ({got} bytes, expected {expected})"
                 ));
                 if repair {
-                    // An unreadable block is an erasure: clear it so the
-                    // rebuild below writes a fresh, full-sized one.
+                    // Cleared so the rebuild writes a fresh, full-sized one.
                     fs::remove_file(block_path(dir, b))?;
                     report.push_str(" — removed, will rebuild");
                 }
                 report.push('\n');
             }
-            Err(_) => report.push_str(&format!("block {b}: missing\n")),
+            Some(_) => {}
         }
     }
 
     if repair {
-        // Local plans to a fixed point: cheapest repairs first, and each
-        // rebuilt block may complete another plan's source set.
-        loop {
-            let target = (0..n).find(|&b| {
-                !present[b]
-                    && code
-                        .repair_plan(b)
-                        .map(|p| p.sources().iter().all(|&s| present[s]))
-                        .unwrap_or(false)
-            });
-            let Some(b) = target else { break };
-            let fan_in = repair_block(dir, b)?;
-            present[b] = true;
+        let lost: Vec<usize> = (0..n).filter(|&b| !present[b]).collect();
+        let plan = RebuildPlan::new(&code, &lost, &present)?;
+        rebuild_files(dir, &code, manifest.num_groups, &plan)?;
+        for step in plan.local() {
+            let (b, fan_in) = (step.target(), step.fan_in());
             report.push_str(&format!(
                 "block {b}: rebuilt locally from {fan_in} sources\n"
             ));
         }
-
-        // Whatever no local chain reaches needs the full group decode:
-        // restore the object, re-encode it (encoding is deterministic),
-        // and take only the still-missing block files.
-        if present.iter().any(|&p| !p) {
-            if !code.can_decode(&present) {
-                report.push_str("object is UNRECOVERABLE: too many blocks lost\n");
-                return Ok((report, false));
-            }
-            let tmp_object = dir.join(".fsck-object.tmp");
-            let tmp_dir = dir.join(".fsck-reencode.tmp");
-            let restored: Result<(), CliError> = (|| {
-                decode_file(dir, &tmp_object)?;
-                encode_file(&tmp_object, &tmp_dir, &manifest.spec)?;
-                for b in (0..n).filter(|&b| !present[b]) {
-                    fs::rename(block_path(&tmp_dir, b), block_path(dir, b))?;
-                    report.push_str(&format!("block {b}: rebuilt via full decode\n"));
-                }
-                Ok(())
-            })();
-            let _ = fs::remove_file(&tmp_object);
-            let _ = fs::remove_dir_all(&tmp_dir);
-            restored?;
-            present.fill(true);
+        for b in plan.decoded() {
+            report.push_str(&format!("block {b}: rebuilt via full decode\n"));
         }
+        plan.targets().into_iter().for_each(|b| present[b] = true);
     }
-
-    let lost = present.iter().filter(|&&p| !p).count();
-    report.push_str(&format!(
-        "{} of {n} blocks present; object is {}\n",
-        n - lost,
-        if lost == 0 {
-            "fully healthy"
-        } else if code.can_decode(&present) {
-            "DEGRADED but decodable (run `galloper fsck <dir> --repair`)"
-        } else {
-            "UNRECOVERABLE"
-        }
-    ));
-    Ok((report, lost == 0))
+    let hint = "DEGRADED but decodable (run `galloper fsck <dir> --repair`)";
+    report.push_str(&health_line(&code, &present, hint));
+    Ok((report, present.iter().all(|&p| p)))
 }
 
 /// Renders a human-readable description of an encoded directory: the
@@ -582,8 +573,7 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<(String, bool), CliError> {
 ///
 /// [`CliError`] on manifest or spec problems.
 pub fn inspect(dir: &Path) -> Result<String, CliError> {
-    let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
-    let code = build_code(&manifest.spec)?;
+    let (manifest, code) = open_dir(dir)?;
     let layout = code.layout();
     let mut out = String::new();
     out.push_str(&format!(
@@ -836,9 +826,12 @@ mod tests {
                 "block {b} re-encode must be byte-identical"
             );
         }
-        // No temporary droppings.
-        assert!(!out.join(".fsck-object.tmp").exists());
-        assert!(!out.join(".fsck-reencode.tmp").exists());
+        // Re-pinned (was: two named temporaries absent): no temporary
+        // of any name is left — the directory holds exactly the n block
+        // files and the manifest.
+        assert_eq!(fs::read_dir(&out).unwrap().count(), 7 + 1);
+        assert!((0..7).all(|b| out.join(format!("block_{b}.bin")).exists()));
+        assert!(out.join("object.manifest").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

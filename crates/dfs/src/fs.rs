@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use galloper_erasure::stream::{AlignedBuf, StreamError, StripeEncoder};
-use galloper_erasure::{CodeError, ErasureCode, ObjectManifest};
+use galloper_erasure::{CodeError, ErasureCode, ObjectManifest, RebuildPlan};
 use galloper_obs::{global, op, Histogram, OpContext};
 
 use crate::faults::{Fault, FaultPlan, TimedFault};
@@ -1041,7 +1041,13 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// Panics if `server` is out of range.
     pub fn begin_outage(&mut self, server: usize, ticks: u64) {
         assert!(server < self.health.len(), "no server {server}");
-        let until = self.clock + ticks;
+        self.open_outage(server, self.clock + ticks);
+    }
+
+    /// The one outage-window rule: a crashed server stays down, an open
+    /// window keeps the later deadline, and an up server goes away until
+    /// `until` (counted once, on that transition).
+    fn open_outage(&mut self, server: usize, until: u64) {
         match self.health[server] {
             ServerHealth::Down => {}
             ServerHealth::Unavailable { until: old } => {
@@ -1100,8 +1106,10 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         let Some(meta) = self.files.get(name) else {
             return false;
         };
-        let (id, server) = (meta.id, meta.placements[group][block]);
-        if self.stores[server].flip_byte(BlockKey::new(id.0 as u64, group, block), 0) {
+        let Some(&server) = meta.placements.get(group).and_then(|g| g.get(block)) else {
+            return false;
+        };
+        if self.stores[server].flip_byte(BlockKey::new(meta.id.0 as u64, group, block), 0) {
             global().counter("dfs.faults.corruptions_injected").inc();
             true
         } else {
@@ -1160,23 +1168,9 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     fn apply_fault(&mut self, event: &TimedFault) {
         match event.fault {
             Fault::Crash { server } => self.fail_server(server),
-            Fault::Outage { server, ticks } => {
-                // The window runs from the event's own tick, not from
-                // wherever the clock has jumped to.
-                let until = event.at + ticks;
-                match self.health[server] {
-                    ServerHealth::Down => {}
-                    ServerHealth::Unavailable { until: old } => {
-                        self.health[server] = ServerHealth::Unavailable {
-                            until: old.max(until),
-                        };
-                    }
-                    ServerHealth::Up => {
-                        global().counter("dfs.faults.outages").inc();
-                        self.health[server] = ServerHealth::Unavailable { until };
-                    }
-                }
-            }
+            // The window runs from the event's own tick, not from wherever
+            // the clock has jumped to.
+            Fault::Outage { server, ticks } => self.open_outage(server, event.at + ticks),
             Fault::Corrupt { server } => {
                 self.corrupt_block(server, event.at.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
@@ -1187,11 +1181,12 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         }
     }
 
-    /// Rebuilds every lost block onto live servers: per block, the cheap
-    /// repair plan when all its sources survive, otherwise a full group
-    /// decode + re-encode. Placements are updated. Groups whose rebuild
-    /// would need data that is only transiently away are left for the
-    /// repair queue ([`Dfs::scan_endangered`] / [`Dfs::drain_repairs`]).
+    /// Rebuilds every lost block onto live servers: per group, one
+    /// [`RebuildPlan`] — local repair plans chained to a fixed point, one
+    /// decode + re-encode for the blocks no chain reaches. Placements are
+    /// updated. Groups whose rebuild would need data that is only
+    /// transiently away are left for the repair queue
+    /// ([`Dfs::scan_endangered`] / [`Dfs::drain_repairs`]).
     ///
     /// # Errors
     ///
@@ -1401,58 +1396,39 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             return Err(DfsError::NotEnoughServers);
         }
 
-        // Rebuild each lost block from the bytes the survey already
-        // fetched: through its repair plan when every source is there,
-        // otherwise from one decode + re-encode of the whole group.
-        let blocks = readable(&survey);
-        let mut decoded_group: Option<Vec<Vec<u8>>> = None;
+        // One plan for the group's loss pattern, applied to the bytes the
+        // survey already fetched: locally rebuilt blocks are stored even
+        // when the rest must wait for an outage or cannot come back.
+        let present: Vec<bool> = survey.iter().map(Result::is_ok).collect();
+        let plan = RebuildPlan::new(&self.code, &lost, &present)?;
+        let rebuilt = plan.apply(&self.code, &readable(&survey))?;
+        summary.repaired_locally += plan.local().len();
+        summary.repaired_via_decode += plan.decoded().len();
+        summary.bytes_read += plan.reads().len() * self.code.block_len();
         for (&b, &replacement) in lost.iter().zip(&candidates) {
-            let plan = self.code.repair_plan(b)?;
-            let sources: Option<Vec<(usize, &[u8])>> = plan
-                .sources()
-                .iter()
-                .map(|&s| blocks[s].map(|bytes| (s, bytes)))
-                .collect();
-            let rebuilt = if let Some(sources) = sources {
-                summary.bytes_read += sources.iter().map(|(_, d)| d.len()).sum::<usize>();
-                summary.repaired_locally += 1;
-                self.code.reconstruct(b, &sources)?
-            } else {
-                if decoded_group.is_none() {
-                    match self.code.decode(&blocks) {
-                        Ok(message) => {
-                            let read = blocks.iter().flatten().count();
-                            summary.bytes_read +=
-                                read.min(self.code.num_data_blocks()) * self.code.block_len();
-                            decoded_group = Some(self.code.encode(&message)?);
-                        }
-                        // Not enough *present* blocks, but some are only
-                        // transiently away: retry once the outage window
-                        // ends instead of declaring data loss.
-                        Err(_) if survey.contains(&Err(Gone::Away)) => {
-                            return Ok(RepairGroupOutcome::Blocked);
-                        }
-                        Err(_) => {
-                            summary.unrecoverable_groups += 1;
-                            return Ok(RepairGroupOutcome::Unrecoverable);
-                        }
-                    }
-                }
-                summary.repaired_via_decode += 1;
-                decoded_group.as_ref().expect("just decoded")[b].clone()
-            };
+            let Some(bytes) = &rebuilt[b] else { continue };
             // A corrupted block leaves a stale entry on its old (up)
             // server; drop it so only the verified rebuild survives.
             let key = BlockKey::new(meta.id.0 as u64, group, b);
             self.reclaim_block(meta.placements[group][b], key);
-            self.stores[replacement].put_block(key, &rebuilt)?;
+            self.stores[replacement].put_block(key, bytes)?;
             self.blocks_held[replacement] += 1;
             self.files
                 .get_mut(&meta.name)
                 .expect("file exists")
                 .placements[group][b] = replacement;
         }
-        Ok(RepairGroupOutcome::Repaired)
+        Ok(if plan.stranded().is_empty() {
+            RepairGroupOutcome::Repaired
+        } else if survey.contains(&Err(Gone::Away)) {
+            // Not enough *present* blocks, but some are only transiently
+            // away: retry once the outage window ends instead of
+            // declaring data loss.
+            RepairGroupOutcome::Blocked
+        } else {
+            summary.unrecoverable_groups += 1;
+            RepairGroupOutcome::Unrecoverable
+        })
     }
 
     /// Per-file health report.

@@ -15,6 +15,10 @@ fn corruption_is_detected_and_repaired() {
     dfs.put("f", &data).unwrap();
 
     assert!(dfs.corrupt_stored("f", 0, 2), "block exists to corrupt");
+    // Out-of-range targets miss instead of panicking.
+    let groups = dfs.object_manifest("f").unwrap().num_groups;
+    assert!(!dfs.corrupt_stored("f", groups, 0), "no such group");
+    assert!(!dfs.corrupt_stored("f", 0, 7), "no such block");
     // The flipped byte never surfaces: the CRC check routes around it.
     assert_eq!(dfs.get("f").unwrap(), data);
     let part = dfs.read("f", ReadOptions::range(100, 5_000)).unwrap();

@@ -133,6 +133,34 @@ fn decode_fallback_when_repair_sources_lost() {
 }
 
 #[test]
+fn repair_chains_local_plans_before_decoding() {
+    // Blocks 0 and 6 of one Galloper(4, 2, 1) group: block 6's plan
+    // reads block 0, so it waits for 0's local rebuild instead of sending
+    // the group to decode — 4 distinct blocks read, where plan-by-plan
+    // repair with a decode fallback read 6.
+    let code = Galloper::uniform(4, 2, 1, 256).unwrap();
+    let block_len = code.block_len();
+    let data = random_data(code.message_len(), 43);
+    let mut dfs = Dfs::new(10, code);
+    dfs.put("a", &data).unwrap();
+    assert!(dfs.corrupt_stored("a", 0, 0));
+    assert!(dfs.corrupt_stored("a", 0, 6));
+    let summary = dfs.repair().unwrap();
+    assert_eq!(summary.repaired_locally, 2);
+    assert_eq!(summary.repaired_via_decode, 0);
+    assert_eq!(summary.bytes_read, 4 * block_len);
+    for server in 0..dfs.num_servers() {
+        assert_eq!(
+            shelved(&dfs, server),
+            dfs.blocks_on(server),
+            "server {server}: books != shelves"
+        );
+    }
+    assert!(dfs.fsck().all_healthy());
+    assert_eq!(dfs.get("a").unwrap(), data);
+}
+
+#[test]
 fn unrecoverable_groups_are_reported_not_destroyed() {
     let mut dfs = Dfs::new(12, ReedSolomon::new(4, 2, 512).unwrap());
     let data = random_data(8_192, 17);

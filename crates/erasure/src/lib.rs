@@ -8,6 +8,8 @@
 //! * [`ErasureCode`] — encode / decode / reconstruct over byte blocks.
 //! * [`RepairPlan`] — which blocks a reconstruction reads. The paper's
 //!   disk-I/O accounting (Fig. 8b) is a direct function of these plans.
+//! * [`RebuildPlan`] — how a group's lost blocks come back: local plans
+//!   chained to a fixed point, one decode for the rest.
 //! * [`DataLayout`] — where the *original* data lives inside the encoded
 //!   blocks. Data-analytics parallelism (Fig. 2, Fig. 9, Fig. 10) is a
 //!   direct function of this layout: a map task can only run on original
@@ -30,6 +32,7 @@ mod object;
 pub mod observe;
 mod plan;
 mod read;
+mod rebuild;
 pub mod reliability;
 pub mod remap;
 pub mod stream;
@@ -42,6 +45,7 @@ pub use object::{EncodedObject, ObjectCodec, ObjectManifest};
 pub use observe::Observed;
 pub use plan::RepairPlan;
 pub use read::ReadStats;
+pub use rebuild::RebuildPlan;
 pub use stream::{
     AlignedBuf, AlignedPool, GroupSink, StreamError, StripeDecoder, StripeEncoder,
     StripeReconstructor,

@@ -54,8 +54,9 @@ fi
 # Every read is a range read: `ErasureCode::read_range_into` is the one
 # primitive, `Dfs::read_span` its one caller in the namespace, and
 # `StripeDecoder` a driver over it. `decode` stays for what is not a
-# serving read — the primitive's own fallback, `repair_group`'s
-# decode + re-encode, `can_decode`'s default, the `ObjectCodec` oracle.
+# serving read — the primitive's own fallback, `RebuildPlan::apply`'s
+# decode arm, `can_decode`'s default, the `ObjectCodec` oracle — and
+# none of those lives in fs.rs.
 echo "==> one read core"
 if grep -rnE 'decode_groups|decode_range|read_range_via_decode|seek_group|AsLinearCode|as_linear_code' \
   crates src tests examples README.md DESIGN.md; then
@@ -64,12 +65,30 @@ if grep -rnE 'decode_groups|decode_range|read_range_via_decode|seek_group|AsLine
 fi
 range_reads="$(grep -c '\.read_range_into(' crates/dfs/src/fs.rs || true)"
 decodes="$(grep -c '\.decode(' crates/dfs/src/fs.rs || true)"
-if [ "$range_reads" -ne 1 ] || [ "$decodes" -ne 1 ]; then
-  echo "ci: fs.rs has $range_reads read_range_into and $decodes decode call sites; want 1 (read_span) and 1 (repair_group)"
+if [ "$range_reads" -ne 1 ] || [ "$decodes" -ne 0 ]; then
+  echo "ci: fs.rs has $range_reads read_range_into and $decodes decode call sites; want 1 (read_span) and 0"
   exit 1
 fi
 if sed -n "/^impl<'c, C: ErasureCode> StripeDecoder/,/^}/p" crates/erasure/src/stream.rs | grep -n '\.decode('; then
   echo "ci: StripeDecoder decodes on its own again; it is a driver over read_range_into"
+  exit 1
+fi
+
+# Every lost block of a stored group comes back through one
+# `RebuildPlan`: local plans chained to a fixed point, one decode +
+# re-encode for the rest. `Dfs::repair_group` and `galloper fsck
+# --repair` / `galloper repair` build one and `apply` it, so neither
+# calls `reconstruct` or `decode` itself, and the CLI's
+# decode-to-a-temp-object fallback stays deleted. (`StripeReconstructor`,
+# the single-target streaming driver, keeps its one direct
+# `reconstruct` call with its one `RepairPlan`.)
+echo "==> one rebuild core"
+if grep -nE '\.(decode|reconstruct)\(' crates/dfs/src/fs.rs crates/cli/src/ops.rs; then
+  echo "ci: a repair path rebuilds on its own again; build a RebuildPlan and apply it"
+  exit 1
+fi
+if grep -rnE 'fsck-object\.tmp|fsck-reencode\.tmp' crates src tests; then
+  echo "ci: the fsck temp-object fallback is back; the rebuild pass writes only the lost blocks"
   exit 1
 fi
 

@@ -44,7 +44,7 @@ pub mod codes {
     pub use galloper_codes::{build_code, BoxedCode, BuildError, CodeSpec};
     pub use galloper_erasure::{
         BlockRole, CodeError, ConstructionError, DataLayout, ErasureCode, LinearCode, ObjectCodec,
-        ObjectManifest, ReadStats, RepairPlan,
+        ObjectManifest, ReadStats, RebuildPlan, RepairPlan,
     };
     pub use galloper_pyramid::Pyramid;
     pub use galloper_rs::ReedSolomon;

@@ -129,6 +129,99 @@ fn fsck_repairs_an_encoded_directory_end_to_end() {
 }
 
 #[test]
+fn fsck_and_dfs_repair_rebuild_every_pattern_alike() {
+    // One rebuild core, two callers: for every pattern of up to one loss
+    // past Galloper(4, 2, 1)'s tolerance, `galloper fsck --repair` on the
+    // block files and `Dfs::repair` on the same object's blocks split the
+    // rebuild the same way between local plans and decode, every block
+    // file the pass writes is the encoder's, and no temporary is left.
+    use galloper_cli::{build_code, encode_file, fsck, CodeSpec};
+    use galloper_suite::dfs::Dfs;
+    use std::fs;
+
+    let spec = CodeSpec::galloper(4, 2, 1, 64);
+    let code = build_code(&spec).unwrap();
+    let (n, tolerance) = (code.num_blocks(), 2);
+    let data = sample(code.message_len() + 1_000);
+    let root = std::env::temp_dir().join(format!("galloper-e2e-rebuild-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    fs::create_dir_all(&root).unwrap();
+    let input = root.join("input.bin");
+    fs::write(&input, &data).unwrap();
+    let pristine = root.join("pristine");
+    let groups = encode_file(&input, &pristine, &spec).unwrap().num_groups;
+    let block = |dir: &std::path::Path, b: usize| dir.join(format!("block_{b}.bin"));
+    let originals: Vec<Vec<u8>> = (0..n)
+        .map(|b| fs::read(block(&pristine, b)).unwrap())
+        .collect();
+
+    for size in 1..=tolerance + 1 {
+        for lost in galloper_pyramid::subsets(n, size) {
+            let dir = root.join("work");
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            fs::copy(
+                pristine.join("object.manifest"),
+                dir.join("object.manifest"),
+            )
+            .unwrap();
+            for b in (0..n).filter(|b| !lost.contains(b)) {
+                fs::copy(block(&pristine, b), block(&dir, b)).unwrap();
+            }
+            let (report, healthy) = fsck(&dir, true).unwrap();
+            let local = report.matches("rebuilt locally").count();
+            let decoded = report.matches("rebuilt via full decode").count();
+
+            let mut dfs = Dfs::new(10, build_code(&spec).unwrap());
+            dfs.put("x", &data).unwrap();
+            for g in 0..groups {
+                for &b in &lost {
+                    assert!(dfs.corrupt_stored("x", g, b));
+                }
+            }
+            let summary = dfs.repair().unwrap();
+            assert_eq!(
+                summary.repaired_locally,
+                groups * local,
+                "{lost:?}: {report}"
+            );
+            assert_eq!(
+                summary.repaired_via_decode,
+                groups * decoded,
+                "{lost:?}: {report}"
+            );
+            assert_eq!(
+                summary.unrecoverable_groups == 0,
+                healthy,
+                "{lost:?}: {report}"
+            );
+            if healthy {
+                assert_eq!(dfs.get("x").unwrap(), data, "{lost:?}");
+            }
+
+            for (b, original) in originals.iter().enumerate() {
+                match fs::read(block(&dir, b)) {
+                    Ok(bytes) => assert_eq!(&bytes, original, "{lost:?}: block {b}"),
+                    Err(_) => assert!(!healthy && lost.contains(&b), "{lost:?}: block {b}"),
+                }
+            }
+            let names: Vec<String> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            assert!(
+                names
+                    .iter()
+                    .all(|f| f == "object.manifest"
+                        || (f.starts_with("block_") && f.ends_with(".bin"))),
+                "{lost:?}: {names:?}"
+            );
+        }
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn multi_failure_recovery_via_decode() {
     // Two servers die: beyond single-block repair, so recover through a
     // full decode and re-encode, then verify every rebuilt block.
