@@ -8,15 +8,18 @@
 //! reference. The document's `kernel_backend` field names the backend
 //! auto-dispatch selected (or the `GALLOPER_KERNEL` override).
 //!
-//! Knobs: `GALLOPER_KERNEL_MB` (buffer size, default 4 MiB),
-//! `GALLOPER_BENCH_MS` (per-case budget, default 200 ms).
+//! Every case runs over 4 MiB buffers; `GALLOPER_BENCH_MS` sets the
+//! per-case budget (default 200 ms).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use galloper_bench::{emit_json, env_f64, env_usize, payload};
+use galloper_bench::{emit_json, env_f64, payload};
 use galloper_gf::kernel::{self, Backend};
 use galloper_obs::Json;
+
+/// Buffer size per case, MiB.
+const MIB: usize = 4;
 
 /// Median per-iteration seconds for `f`, auto-calibrated to the budget.
 fn time_case(budget: Duration, mut f: impl FnMut()) -> f64 {
@@ -45,13 +48,12 @@ struct Row {
 }
 
 fn main() {
-    let mib = env_usize("GALLOPER_KERNEL_MB", 4);
     let budget = Duration::from_secs_f64(env_f64("GALLOPER_BENCH_MS", 200.0) / 1000.0);
-    let len = mib << 20;
+    let len = MIB << 20;
     let src = payload(len, 3);
     let mut dst = payload(len, 4);
     let active = kernel::active();
-    println!("buffer: {mib} MiB   active backend: {active}");
+    println!("buffer: {MIB} MiB   active backend: {active}");
 
     let mut rows: Vec<Row> = Vec::new();
     for backend in kernel::available_backends() {

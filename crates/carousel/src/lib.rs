@@ -98,13 +98,6 @@ impl Carousel {
     pub fn as_linear(&self) -> &LinearCode {
         &self.inner
     }
-
-    /// Overrides the number of threads used by bulk kernels.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
 }
 
 delegate_erasure_code!(Carousel, inner);

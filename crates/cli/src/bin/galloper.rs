@@ -202,8 +202,8 @@ const USAGE: &str = "usage:
   galloper serve   [--daemons N] [--root DIR] [--listen ADDR] [--family F ...]
                    (spawns N storage daemons + a gateway; handshake lines
                     GALLOPER_DAEMON_PID / GALLOPER_DAEMON_LISTENING /
-                    GALLOPER_GATEWAY_LISTENING on stdout; GALLOPER_LISTEN and
-                    GALLOPER_MAX_INFLIGHT env are honored)
+                    GALLOPER_GATEWAY_LISTENING on stdout; --listen defaults
+                    to an ephemeral loopback port)
   galloper daemon  --root DIR [--listen ADDR]
   galloper net-put <gateway-addr> <name> <file>
   galloper net-get <gateway-addr> <name> <output>
@@ -233,7 +233,7 @@ struct Options {
     repair: bool,
     daemons: usize,
     root: Option<PathBuf>,
-    listen: Option<String>,
+    listen: String,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -250,7 +250,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         repair: false,
         daemons: 3,
         root: None,
-        listen: None,
+        listen: "127.0.0.1:0".into(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -271,7 +271,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--daemons must be a number")?
             }
             "--root" => o.root = Some(PathBuf::from(value("--root")?)),
-            "--listen" => o.listen = Some(value("--listen")?.clone()),
+            "--listen" => o.listen = value("--listen")?.clone(),
             "-k" => o.k = value("-k")?.parse().map_err(|_| "-k must be a number")?,
             "-l" => o.l = value("-l")?.parse().map_err(|_| "-l must be a number")?,
             "-g" => o.g = value("-g")?.parse().map_err(|_| "-g must be a number")?,
@@ -387,15 +387,13 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "daemon" => {
             let root = o.root.clone().ok_or("daemon needs --root <dir>")?;
-            let listen = galloper_cli::serve::resolve_listen(o.listen.as_deref());
-            galloper_cli::serve::run_daemon(&root, &listen)
+            galloper_cli::serve::run_daemon(&root, &o.listen)
         }
         "serve" => {
             let root = o
                 .root
                 .clone()
                 .unwrap_or_else(galloper_cli::serve::default_root);
-            let listen = galloper_cli::serve::resolve_listen(o.listen.as_deref());
             // Without an explicit --family, size a plain RS code to the
             // daemon count; with one, the user's spec must fit.
             let spec = if o.family_set {
@@ -403,7 +401,7 @@ fn run(args: &[String]) -> Result<(), String> {
             } else {
                 galloper_cli::serve::default_serve_spec(o.daemons, o.stripe_size)?
             };
-            galloper_cli::serve::run_serve(o.daemons, &root, &listen, &spec)
+            galloper_cli::serve::run_serve(o.daemons, &root, &o.listen, &spec)
         }
         "net-put" => {
             let [addr, name, file] = o.positional.as_slice() else {

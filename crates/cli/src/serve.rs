@@ -31,22 +31,15 @@ use std::time::Duration;
 
 use galloper_codes::{build_code, CodeSpec};
 use galloper_dfs::{Dfs, DiskStore};
-use galloper_net::{max_inflight_from_env, Conn, Daemon, Gateway, RemoteStore, Response, Scraper};
+use galloper_net::{
+    Conn, Daemon, Gateway, RemoteStore, Response, Scraper, DEFAULT_MAX_INFLIGHT, WHOLE_OBJECT_MAX,
+};
 
 /// Client-side timeout for `net-put` / `net-get` and the gateway's
 /// daemon connections. Generous: a put of a large object against cold
 /// disks is the slow path, and the gateway treats a timeout as a
 /// server loss.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Resolves the listen address: explicit flag, else `GALLOPER_LISTEN`,
-/// else an ephemeral loopback port.
-pub fn resolve_listen(flag: Option<&str>) -> String {
-    if let Some(addr) = flag {
-        return addr.to_string();
-    }
-    std::env::var("GALLOPER_LISTEN").unwrap_or_else(|_| "127.0.0.1:0".into())
-}
 
 /// Runs a storage daemon in the foreground: binds `listen`, opens (or
 /// creates) the [`DiskStore`] at `root`,
@@ -87,6 +80,19 @@ fn serve_until_killed<T>(held: T) -> ! {
 struct DaemonChild {
     child: Child,
     addr: String,
+}
+
+/// The daemon children of one `serve`, killed when dropped: every
+/// error return after the first spawn takes them down with it, and a
+/// serving cluster never drops them.
+struct Children(Vec<DaemonChild>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for c in &mut self.0 {
+            let _ = c.child.kill();
+        }
+    }
 }
 
 /// Spawns one `galloper daemon` child rooted at `root` and waits for
@@ -151,10 +157,11 @@ fn spawn_daemon_child(index: usize, root: &Path) -> Result<DaemonChild, String> 
 ///
 /// # Errors
 ///
-/// A rendered message when a child fails to launch, the spec does not
-/// build, the spec's group width exceeds the daemon count, or the
-/// gateway cannot bind. Already-spawned children are killed before
-/// returning an error.
+/// A rendered message when the spec does not build, its group width
+/// exceeds the daemon count, its coding group does not fit one frame
+/// (a chunked read returns whole groups), a child fails to launch, or
+/// the gateway cannot start. Already-spawned children are killed
+/// before returning an error.
 pub fn run_serve(daemons: usize, root: &Path, listen: &str, spec: &CodeSpec) -> Result<(), String> {
     let code = build_code(spec).map_err(|e| format!("serve: bad code spec: {e}"))?;
     if code.num_blocks() > daemons {
@@ -163,51 +170,47 @@ pub fn run_serve(daemons: usize, root: &Path, listen: &str, spec: &CodeSpec) -> 
             code.num_blocks()
         ));
     }
-    let mut children: Vec<DaemonChild> = Vec::with_capacity(daemons);
-    for i in 0..daemons {
-        match spawn_daemon_child(i, &root.join(format!("d{i}"))) {
-            Ok(c) => children.push(c),
-            Err(e) => {
-                for mut c in children {
-                    let _ = c.child.kill();
-                }
-                return Err(e);
-            }
-        }
+    if code.message_len() > WHOLE_OBJECT_MAX {
+        return Err(format!(
+            "serve: a coding group holds {} bytes, more than the {WHOLE_OBJECT_MAX} one frame \
+             carries; use a smaller --stripe-size",
+            code.message_len()
+        ));
     }
-    for (i, c) in children.iter().enumerate() {
+    let mut children = Children(Vec::with_capacity(daemons));
+    for i in 0..daemons {
+        children
+            .0
+            .push(spawn_daemon_child(i, &root.join(format!("d{i}")))?);
+    }
+    for (i, c) in children.0.iter().enumerate() {
         println!("GALLOPER_DAEMON_PID {i} {}", c.child.id());
         println!("GALLOPER_DAEMON_LISTENING {i} {}", c.addr);
     }
-    let stores: Vec<RemoteStore> = children
+    let addrs: Vec<String> = children.0.iter().map(|c| c.addr.clone()).collect();
+    let stores: Vec<RemoteStore> = addrs
         .iter()
-        .map(|c| RemoteStore::new(c.addr.clone()).with_timeout(CLIENT_TIMEOUT))
+        .map(|addr| RemoteStore::new(addr.clone()).with_timeout(CLIENT_TIMEOUT))
         .collect();
     let dfs = Dfs::with_stores(stores, code);
-    let listener = TcpListener::bind(listen).map_err(|e| {
-        for c in &mut children {
-            let _ = c.child.kill();
-        }
-        format!("serve: cannot bind gateway on {listen}: {e}")
-    })?;
+    let listener = TcpListener::bind(listen)
+        .map_err(|e| format!("serve: cannot bind gateway on {listen}: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("serve: no gateway addr: {e}"))?;
     // The scraper polls every daemon on `GALLOPER_SCRAPE_MS` and the
     // gateway serves its merged cluster view through `Stats` — this is
     // what `galloper stat` / `galloper top` read.
-    let scraper = std::sync::Arc::new(Scraper::from_env(
-        children.iter().map(|c| c.addr.clone()).collect(),
-    ));
+    let scraper = std::sync::Arc::new(Scraper::from_env(addrs));
     let gateway = Gateway::spawn_with_scraper(
         listener,
         dfs,
-        max_inflight_from_env(),
+        DEFAULT_MAX_INFLIGHT,
         Some(std::sync::Arc::clone(&scraper)),
     )
     .map_err(|e| format!("serve: gateway failed: {e}"))?;
     println!("GALLOPER_GATEWAY_LISTENING {addr}");
-    serve_until_killed((gateway, scraper))
+    serve_until_killed((gateway, scraper, children))
 }
 
 /// The default serve spec for `daemons` servers when no family flags
@@ -245,7 +248,7 @@ pub fn net_put(addr: &str, name: &str, file: &Path) -> Result<usize, String> {
     {
         Response::Ok => Ok(len as usize),
         Response::Err { kind, message } => Err(format!("put refused ({kind}): {message}")),
-        other => Err(format!("unexpected put response: {other:?}")),
+        other => Err(format!("unexpected put response: {}", other.name())),
     }
 }
 
@@ -279,7 +282,7 @@ pub fn net_get(addr: &str, name: &str, output: &Path) -> Result<usize, String> {
             Ok(len as usize)
         }
         Response::Err { kind, message } => Err(format!("get refused ({kind}): {message}")),
-        other => Err(format!("unexpected get response: {other:?}")),
+        other => Err(format!("unexpected get response: {}", other.name())),
     }
 }
 
@@ -287,4 +290,20 @@ pub fn net_get(addr: &str, name: &str, output: &Path) -> Result<usize, String> {
 /// given: a `galloper-serve` directory under the system temp dir.
 pub fn default_root() -> PathBuf {
     std::env::temp_dir().join("galloper-serve")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_refuses_a_group_wider_than_one_frame_before_spawning() {
+        let root = std::env::temp_dir().join(format!("galloper-serve-wide-{}", std::process::id()));
+        // RS(2,1) over 40 MiB stripes: an 80 MiB coding group.
+        let spec = default_serve_spec(3, 40 << 20).expect("spec");
+        let err = run_serve(3, &root, "127.0.0.1:0", &spec).expect_err("a group past one frame");
+        assert!(err.contains(&WHOLE_OBJECT_MAX.to_string()), "{err}");
+        let spawned = (0..3).filter(|i| root.join(format!("d{i}")).exists());
+        assert_eq!(spawned.count(), 0, "no daemon is spawned");
+    }
 }

@@ -43,7 +43,9 @@ pub enum Fault {
         server: usize,
     },
     /// The server keeps serving but at `multiplier` × its normal rate
-    /// (a straggler when < 1). Feeds the simstore cluster model.
+    /// (a straggler when < 1). `Dfs` has no service rate to slow and
+    /// only counts it (`dfs.faults.slowdowns`); a timing model such as
+    /// the simstore `Cluster` sets its own rate multipliers.
     Slow {
         /// The slow server.
         server: usize,

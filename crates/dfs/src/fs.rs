@@ -398,10 +398,6 @@ const DEFAULT_RETRY_LIMIT: usize = 5;
 pub struct Dfs<C, S = MemStore> {
     code: C,
     health: Vec<ServerHealth>,
-    /// Per-server service-rate multiplier (1.0 = nominal, < 1 =
-    /// straggler). Not consulted by the in-memory data path; it feeds
-    /// the simstore timing model (see `Cluster::set_rate_multiplier`).
-    slow: Vec<f64>,
     /// One block store per server.
     stores: Vec<S>,
     /// Blocks this namespace holds on each server: what it put there
@@ -463,7 +459,6 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         Dfs {
             code,
             health: vec![ServerHealth::Up; n],
-            slow: vec![1.0; n],
             stores,
             blocks_held,
             files: HashMap::new(),
@@ -507,27 +502,6 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             .iter()
             .filter(|h| matches!(h, ServerHealth::Unavailable { .. }))
             .count()
-    }
-
-    /// The server's service-rate multiplier (1.0 unless a
-    /// [`Fault::Slow`] or [`Dfs::set_slow`] changed it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn rate_multiplier(&self, server: usize) -> f64 {
-        self.slow[server]
-    }
-
-    /// Marks the server a straggler (or restores it with 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range or `multiplier <= 0`.
-    pub fn set_slow(&mut self, server: usize, multiplier: f64) {
-        assert!(server < self.health.len(), "no server {server}");
-        assert!(multiplier > 0.0, "rate multiplier must be positive");
-        self.slow[server] = multiplier;
     }
 
     /// The current tick of the logical clock.
@@ -1174,10 +1148,9 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             Fault::Corrupt { server } => {
                 self.corrupt_block(server, event.at.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
-            Fault::Slow { server, multiplier } => {
-                global().counter("dfs.faults.slowdowns").inc();
-                self.set_slow(server, multiplier);
-            }
+            // The in-memory data path has no service rate to slow; the
+            // event is counted so schedules read the same everywhere.
+            Fault::Slow { .. } => global().counter("dfs.faults.slowdowns").inc(),
         }
     }
 

@@ -246,7 +246,6 @@ fn scheduled_plan_applies_on_the_clock() {
         ServerHealth::Unavailable { until: 5 }
     ));
     assert_eq!(dfs.advance_to(4), 1);
-    assert_eq!(dfs.rate_multiplier(2), 0.5);
     // Tick 5: the outage expires on its own.
     dfs.advance_to(5);
     assert_eq!(dfs.server_health(1), ServerHealth::Up);

@@ -15,6 +15,7 @@
 //! construction fails immediately instead of corrupting data later.
 
 use galloper_gf::Gf256;
+use galloper_linalg::pool::global_pool;
 use galloper_linalg::{apply_parallel, apply_parallel_into, Matrix, RowBasis};
 use galloper_obs::counter;
 
@@ -102,7 +103,6 @@ pub struct LinearCode {
     /// Per block: an `N × (fan_in·N)` matrix rebuilding the block's stripes
     /// from the concatenated stripes of its repair sources.
     repair_matrices: Vec<Matrix>,
-    threads: usize,
 }
 
 impl LinearCode {
@@ -196,10 +196,6 @@ impl LinearCode {
             repair_matrices.push(rm);
         }
 
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get().min(8))
-            .unwrap_or(1);
-
         Ok(LinearCode {
             generator,
             k,
@@ -210,15 +206,7 @@ impl LinearCode {
             layout,
             plans,
             repair_matrices,
-            threads,
         })
-    }
-
-    /// Overrides the number of threads used by bulk encode/decode.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The validated stripe-level generator matrix.
@@ -324,7 +312,8 @@ impl ErasureCode for LinearCode {
             .iter_mut()
             .flat_map(|block| block.chunks_exact_mut(self.stripe_size))
             .collect();
-        apply_parallel_into(&self.generator, &inputs, &mut out_refs, self.threads);
+        let threads = global_pool().max_threads();
+        apply_parallel_into(&self.generator, &inputs, &mut out_refs, threads);
         Ok(())
     }
 
@@ -399,7 +388,7 @@ impl ErasureCode for LinearCode {
                 &block[s * self.stripe_size..(s + 1) * self.stripe_size]
             })
             .collect();
-        let decoded = apply_parallel(&inv, &payload, self.threads);
+        let decoded = apply_parallel(&inv, &payload, global_pool().max_threads());
         let mut out = Vec::with_capacity(self.message_len());
         for stripe in decoded {
             out.extend_from_slice(&stripe);
@@ -456,7 +445,8 @@ impl ErasureCode for LinearCode {
             .iter()
             .flat_map(|(_, b)| b.chunks_exact(self.stripe_size))
             .collect();
-        let out_stripes = apply_parallel(&self.repair_matrices[target], &stripes, self.threads);
+        let threads = global_pool().max_threads();
+        let out_stripes = apply_parallel(&self.repair_matrices[target], &stripes, threads);
         let mut out = Vec::with_capacity(self.block_len());
         for s in out_stripes {
             out.extend_from_slice(&s);

@@ -297,28 +297,17 @@ fn worker_loop(shared: &Shared) {
 /// The process-wide pool used by [`crate::apply_parallel_into`] and the
 /// streaming codec drivers.
 ///
-/// Its cap is `GALLOPER_POOL_THREADS` when set, otherwise
-/// `max(available_parallelism, 2)` — at least two so single-core CI
-/// still exercises cross-thread overlap. The pool lives for the process
-/// lifetime (workers park between batches).
+/// Its cap is `max(available_parallelism, 2)` (4 when the parallelism
+/// is unknown) — at least two so single-core CI still exercises
+/// cross-thread overlap. This is the workspace's one thread-count rule:
+/// the codecs fan each product out `max_threads()` wide. The pool lives
+/// for the process lifetime (workers park between batches).
 pub fn global_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(default_threads()))
-}
-
-fn default_threads() -> usize {
-    if let Ok(raw) = std::env::var("GALLOPER_POOL_THREADS") {
-        match raw.trim().parse::<usize>() {
-            Ok(v) if v >= 1 => return v,
-            _ => eprintln!(
-                "warning: GALLOPER_POOL_THREADS={raw:?} is not a positive integer; using auto sizing"
-            ),
-        }
-    }
-    thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(2)
+    POOL.get_or_init(|| {
+        let cores = thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        WorkerPool::new(cores.max(2))
+    })
 }
 
 #[cfg(test)]

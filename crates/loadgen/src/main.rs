@@ -101,12 +101,12 @@ const USAGE: &str = "usage:
                    [--seconds 10] [--objects 64] [--object-bytes 65536]
                    [--json[=DIR]]
 ADDR is the gateway address printed by `galloper serve` as
-GALLOPER_GATEWAY_LISTENING (or set GALLOPER_GATEWAY). Emits
+GALLOPER_GATEWAY_LISTENING. Emits
 BENCH_serve.json into the --json / GALLOPER_JSON_OUT directory.";
 
 fn parse_args(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config {
-        gateway: std::env::var("GALLOPER_GATEWAY").unwrap_or_default(),
+        gateway: String::new(),
         clients: 1000,
         rate: 4000.0,
         seconds: 10.0,
@@ -151,7 +151,7 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         }
     }
     if cfg.gateway.is_empty() {
-        return Err("--gateway (or GALLOPER_GATEWAY) is required".into());
+        return Err("--gateway is required".into());
     }
     if cfg.clients == 0 || cfg.objects == 0 || cfg.object_bytes == 0 {
         return Err("--clients, --objects, and --object-bytes must be positive".into());
@@ -400,7 +400,9 @@ fn preload(cfg: &Config, payloads: &Arc<Vec<Vec<u8>>>) -> Result<(), String> {
                         Response::Err { kind, message } => {
                             return Err(format!("preload: put {i} refused ({kind}): {message}"))
                         }
-                        other => return Err(format!("preload: put {i}: unexpected {other:?}")),
+                        other => {
+                            return Err(format!("preload: put {i}: unexpected {}", other.name()))
+                        }
                     }
                 }
             })

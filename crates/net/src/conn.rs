@@ -12,7 +12,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::env_positive;
 use crate::frame::{read_frame, write_frame_vectored, MAX_FRAME};
 use crate::proto::{ErrorKind, ProtocolError, Request, Response, TraceContext};
 
@@ -22,17 +21,10 @@ use crate::proto::{ErrorKind, ProtocolError, Request, Response, TraceContext};
 /// prefixes, trace extension); anything bigger goes chunked.
 pub const WHOLE_OBJECT_MAX: usize = MAX_FRAME - 4096;
 
-/// Default chunk size for chunked transfers (see
-/// [`chunk_bytes_from_env`]).
-pub const DEFAULT_CHUNK_BYTES: usize = 4 << 20;
-
-/// Chunk size for chunked object transfers, from `GALLOPER_CHUNK_BYTES`
-/// (bytes; default [`DEFAULT_CHUNK_BYTES`]). Values are clamped to fit
-/// one frame; unparseable values warn once per call and fall back to
-/// the default, consistent with the other env knobs.
-pub fn chunk_bytes_from_env() -> usize {
-    env_positive("GALLOPER_CHUNK_BYTES", DEFAULT_CHUNK_BYTES).min(WHOLE_OBJECT_MAX)
-}
+/// Chunk size for chunked object transfers: a `PutChunk` carries at
+/// most this many bytes, and a `GetStart` window is as many whole
+/// coding groups as fit in it (at least one).
+pub const CHUNK_BYTES: usize = 4 << 20;
 
 /// One framed, half-duplex protocol connection.
 #[derive(Debug)]
@@ -204,7 +196,6 @@ impl Conn {
         len: u64,
         reader: &mut impl Read,
     ) -> Result<Response, ProtocolError> {
-        let chunk = chunk_bytes_from_env();
         let id = match self.call(&Request::PutStart {
             name: name.to_string(),
             object_len: len,
@@ -212,11 +203,11 @@ impl Conn {
             Response::PutBegun { id } => id,
             other => return Ok(other),
         };
-        let mut buf = vec![0u8; chunk];
+        let mut buf = vec![0u8; CHUNK_BYTES];
         let mut seq = 0u64;
         let mut sent = 0u64;
         while sent < len {
-            let take = (chunk as u64).min(len - sent) as usize;
+            let take = (CHUNK_BYTES as u64).min(len - sent) as usize;
             if let Err(e) = reader.read_exact(&mut buf[..take]) {
                 // The server still holds an open transfer on this
                 // connection; abandoning it mid-stream makes the

@@ -17,10 +17,9 @@
 //! ## Admission control
 //!
 //! Total in-flight requests are bounded by a counting semaphore of
-//! `max_inflight` slots (`GALLOPER_MAX_INFLIGHT`, default
+//! `max_inflight` slots (`galloper serve` passes
 //! [`DEFAULT_MAX_INFLIGHT`]). A request that cannot take a slot within
-//! the admission timeout (`GALLOPER_ADMISSION_MS`, default
-//! [`ADMISSION_TIMEOUT`]) is answered with a typed
+//! [`ADMISSION_TIMEOUT`] is answered with a typed
 //! [`ErrorKind::Busy`] refusal instead of queueing unboundedly — the
 //! client sees fast, classed pushback and can retry with backoff.
 //! Combined with the one-outstanding-request-per-connection discipline
@@ -48,8 +47,7 @@ use std::time::{Duration, Instant};
 use galloper_dfs::{BlockStore, Dfs, DfsError, ErasureCode};
 use galloper_obs::{global, op, Json};
 
-use crate::conn::{chunk_bytes_from_env, WHOLE_OBJECT_MAX};
-use crate::env_positive;
+use crate::conn::{CHUNK_BYTES, WHOLE_OBJECT_MAX};
 use crate::proto::{ErrorKind, ProtocolError, Request, Response};
 use crate::scrape::Scraper;
 use crate::server::{self, stats_doc, ServerHandle, Service};
@@ -57,9 +55,8 @@ use crate::server::{self, stats_doc, ServerHandle, Service};
 /// Default admission-queue width.
 pub const DEFAULT_MAX_INFLIGHT: usize = 256;
 
-/// Default for how long a request may wait for an admission slot
-/// before being refused with [`ErrorKind::Busy`]. Overridable via
-/// `GALLOPER_ADMISSION_MS` (see [`admission_timeout_from_env`]).
+/// How long a request may wait for an admission slot before being
+/// refused with [`ErrorKind::Busy`].
 pub const ADMISSION_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Open chunked-transfer sessions allowed per connection. The `Conn`
@@ -67,19 +64,6 @@ pub const ADMISSION_TIMEOUT: Duration = Duration::from_secs(2);
 /// hand-written clients interleaving a put and a get, while still
 /// bounding what one connection can pin.
 const MAX_STREAM_SESSIONS: usize = 4;
-
-/// Reads `GALLOPER_ADMISSION_MS` (falling back to
-/// [`ADMISSION_TIMEOUT`]); malformed values warn on stderr.
-pub fn admission_timeout_from_env() -> Duration {
-    let default = ADMISSION_TIMEOUT.as_millis() as u64;
-    Duration::from_millis(env_positive("GALLOPER_ADMISSION_MS", default))
-}
-
-/// Reads `GALLOPER_MAX_INFLIGHT` (falling back to
-/// [`DEFAULT_MAX_INFLIGHT`]); malformed values warn on stderr.
-pub fn max_inflight_from_env() -> usize {
-    env_positive("GALLOPER_MAX_INFLIGHT", DEFAULT_MAX_INFLIGHT)
-}
 
 /// A counting semaphore over `Mutex` + `Condvar` (std has none).
 #[derive(Debug)]
@@ -185,7 +169,7 @@ impl Gateway {
             ObjectService {
                 dfs: RwLock::new(dfs),
                 admission: Admission::new(max_inflight),
-                admission_timeout: admission_timeout_from_env(),
+                admission_timeout: ADMISSION_TIMEOUT,
                 scraper,
             },
         )
@@ -482,7 +466,7 @@ where
             drop(d);
             // Chunks are whole multiples of a coding group's payload,
             // so each GetChunk decodes a clean window of groups.
-            let groups_per_chunk = (chunk_bytes_from_env() / message_len).max(1);
+            let groups_per_chunk = (CHUNK_BYTES / message_len).max(1);
             let id = sessions.alloc();
             sessions.gets.insert(
                 id,
@@ -653,5 +637,63 @@ impl<C: ErasureCode, S: BlockStore> ObjectService<C, S> {
         inflight.add(-1);
         self.admission.release();
         resp
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use galloper_codes::{build_code, CodeSpec};
+
+    fn is_busy(resp: &Response) -> bool {
+        matches!(resp, Response::Err { kind, .. } if *kind == ErrorKind::Busy)
+    }
+
+    #[test]
+    fn a_full_admission_queue_refuses_busy_and_reclaims_a_refused_upload() {
+        let code = build_code(&CodeSpec::rs(2, 1, 1024)).expect("code");
+        let svc = ObjectService {
+            dfs: RwLock::new(Dfs::new(3, code)),
+            admission: Admission::new(1),
+            admission_timeout: Duration::from_millis(10),
+            scraper: None,
+        };
+        let held = || {
+            let dfs = svc.dfs.read().unwrap();
+            (0..3).map(|s| dfs.blocks_on(s)).sum::<usize>()
+        };
+        let before = held();
+        let mut sessions = svc.connect();
+        let start = Request::PutStart {
+            name: "obj".into(),
+            object_len: 8192,
+        };
+        let Response::PutBegun { id } = svc.handle(&mut sessions, start) else {
+            panic!("PutStart is admitted while the slot is free");
+        };
+        let first = Request::PutChunk {
+            id,
+            seq: 0,
+            bytes: vec![1; 4096],
+        };
+        assert_eq!(svc.handle(&mut sessions, first), Response::Ok);
+        assert!(held() > before, "whole groups are staged as they arrive");
+
+        assert!(svc.admission.acquire(Duration::ZERO), "hold the one slot");
+        let busy = global().counter("net.gateway.busy_rejections");
+        let rejected = busy.get();
+        let get = svc.handle(&mut sessions, Request::GetObject { name: "obj".into() });
+        assert!(is_busy(&get), "{}", get.name());
+        assert_eq!(busy.get(), rejected + 1);
+
+        let second = Request::PutChunk {
+            id,
+            seq: 1,
+            bytes: vec![2; 4096],
+        };
+        assert!(is_busy(&svc.handle(&mut sessions, second)));
+        assert!(sessions.puts.is_empty(), "the refused upload is destroyed");
+        assert_eq!(held(), before, "and its staged blocks reclaimed");
+        svc.admission.release();
     }
 }

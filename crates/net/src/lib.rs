@@ -59,38 +59,15 @@ mod remote;
 pub mod scrape;
 mod server;
 
-pub use conn::{chunk_bytes_from_env, Conn, DEFAULT_CHUNK_BYTES, WHOLE_OBJECT_MAX};
+pub use conn::{Conn, CHUNK_BYTES, WHOLE_OBJECT_MAX};
 pub use daemon::{Daemon, DaemonHandle};
 pub use frame::{FrameReader, FRAME_HEADER, MAX_FRAME};
-pub use gateway::{
-    admission_timeout_from_env, kind_of_dfs, max_inflight_from_env, Gateway, ADMISSION_TIMEOUT,
-    DEFAULT_MAX_INFLIGHT,
-};
+pub use gateway::{kind_of_dfs, Gateway, ADMISSION_TIMEOUT, DEFAULT_MAX_INFLIGHT};
 pub use proto::{
     ErrorKind, NodeVitals, ProtocolError, Request, Response, TraceContext, PROTO_VERSION,
 };
 pub use remote::{RemoteStore, DEFAULT_TIMEOUT};
 pub use scrape::{
-    scrape_ms_from_env, stat_ring_from_env, ClusterView, NodeStats, Scraper, DEFAULT_SCRAPE_MS,
-    DEFAULT_STAT_RING,
+    scrape_ms_from_env, ClusterView, NodeStats, Scraper, DEFAULT_SCRAPE_MS, STAT_RING,
 };
 pub use server::ServerHandle;
-
-/// Reads the positive integer in environment variable `name`; unset
-/// means `default`, and anything else (unparseable, zero) warns on
-/// stderr and means `default` too.
-fn env_positive<T>(name: &str, default: T) -> T
-where
-    T: std::str::FromStr + PartialOrd + Default + std::fmt::Display,
-{
-    let Ok(s) = std::env::var(name) else {
-        return default;
-    };
-    match s.trim().parse::<T>() {
-        Ok(n) if n > T::default() => n,
-        _ => {
-            eprintln!("warning: {name}='{s}' is not a positive integer; using {default}");
-            default
-        }
-    }
-}

@@ -715,6 +715,27 @@ impl Response {
         }
     }
 
+    /// A short static name for the response kind, for error messages:
+    /// naming a stray payload-carrying response instead of formatting
+    /// it keeps a megabyte `Block` out of the message.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Response::Ok => "ok",
+            Response::Blob(_) => "blob",
+            Response::Block(_) => "block",
+            Response::Corrupt => "corrupt",
+            Response::Missing => "missing",
+            Response::Deleted(_) => "deleted",
+            Response::Keys(_) => "keys",
+            Response::Health { .. } => "health",
+            Response::Stats(_) => "stats",
+            Response::Err { .. } => "err",
+            Response::PutBegun { .. } => "put_begun",
+            Response::GetBegun { .. } => "get_begun",
+            Response::Chunk { .. } => "chunk",
+        }
+    }
+
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         match self {

@@ -19,7 +19,7 @@ use galloper_dfs::{BlockGet, BlockKey, BlockStore, StoreError, StoreHealth};
 use galloper_obs::global;
 
 use crate::conn::Conn;
-use crate::proto::{ErrorKind, Request, Response};
+use crate::proto::{Request, Response};
 
 /// Default dial/read timeout for daemon traffic.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -143,30 +143,28 @@ impl RemoteStore {
         conn.map(|(c, _)| c)
     }
 
-    /// Maps a daemon's answer for requests that expect plain success.
-    fn expect_ok(&self, resp: Response) -> Result<(), StoreError> {
-        match resp {
-            Response::Ok => Ok(()),
-            Response::Err { kind, message } => Err(self.backend(kind, &message)),
-            other => Err(StoreError::Backend(format!(
-                "{}: unexpected response {other:?}",
-                self.addr
-            ))),
-        }
-    }
-
-    fn backend(&self, kind: ErrorKind, message: &str) -> StoreError {
-        StoreError::Backend(format!("{}: {kind}: {message}", self.addr))
+    /// The error for an answer the verb does not expect: a typed `Err`
+    /// keeps its kind and message, anything else is named by its kind
+    /// only — formatting a stray `Block` would copy every byte into the
+    /// message.
+    fn unexpected(&self, resp: Response) -> StoreError {
+        let why = match resp {
+            Response::Err { kind, message } => format!("{kind}: {message}"),
+            other => format!("unexpected response {}", other.name()),
+        };
+        StoreError::Backend(format!("{}: {why}", self.addr))
     }
 }
 
 impl BlockStore for RemoteStore {
     fn put_block(&mut self, key: BlockKey, bytes: &[u8]) -> Result<(), StoreError> {
-        let resp = self.call(&Request::PutBlock {
+        match self.call(&Request::PutBlock {
             key,
             bytes: bytes.to_vec(),
-        })?;
-        self.expect_ok(resp)
+        })? {
+            Response::Ok => Ok(()),
+            other => Err(self.unexpected(other)),
+        }
     }
 
     fn get_block(&self, key: BlockKey) -> Result<BlockGet, StoreError> {
@@ -174,33 +172,21 @@ impl BlockStore for RemoteStore {
             Response::Block(bytes) => Ok(BlockGet::Ok(bytes)),
             Response::Corrupt => Ok(BlockGet::Corrupt),
             Response::Missing => Ok(BlockGet::Missing),
-            Response::Err { kind, message } => Err(self.backend(kind, &message)),
-            other => Err(StoreError::Backend(format!(
-                "{}: unexpected response {other:?}",
-                self.addr
-            ))),
+            other => Err(self.unexpected(other)),
         }
     }
 
     fn delete_block(&mut self, key: BlockKey) -> Result<bool, StoreError> {
         match self.call(&Request::DeleteBlock { key })? {
             Response::Deleted(existed) => Ok(existed),
-            Response::Err { kind, message } => Err(self.backend(kind, &message)),
-            other => Err(StoreError::Backend(format!(
-                "{}: unexpected response {other:?}",
-                self.addr
-            ))),
+            other => Err(self.unexpected(other)),
         }
     }
 
     fn scan_blocks(&self) -> Result<Vec<BlockKey>, StoreError> {
         match self.call(&Request::ScanBlocks)? {
             Response::Keys(keys) => Ok(keys),
-            Response::Err { kind, message } => Err(self.backend(kind, &message)),
-            other => Err(StoreError::Backend(format!(
-                "{}: unexpected response {other:?}",
-                self.addr
-            ))),
+            other => Err(self.unexpected(other)),
         }
     }
 
@@ -213,11 +199,24 @@ impl BlockStore for RemoteStore {
     fn probe(&self) -> Result<StoreHealth, StoreError> {
         match self.call(&Request::Probe)? {
             Response::Health { blocks, bytes, .. } => Ok(StoreHealth { blocks, bytes }),
-            Response::Err { kind, message } => Err(self.backend(kind, &message)),
-            other => Err(StoreError::Backend(format!(
-                "{}: unexpected response {other:?}",
-                self.addr
-            ))),
+            other => Err(self.unexpected(other)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::ErrorKind;
+
+    #[test]
+    fn unexpected_replies_are_named_not_formatted() {
+        let store = RemoteStore::new("127.0.0.1:9");
+        let why = |resp| store.unexpected(resp).to_string();
+        let msg = why(Response::Block(vec![7; 1 << 20]));
+        assert!(msg.len() < 256, "{} byte message", msg.len());
+        assert!(msg.contains("unexpected response block"), "{msg}");
+        let msg = why(Response::err(ErrorKind::NotFound, "gone"));
+        assert!(msg.ends_with("127.0.0.1:9: not-found: gone"), "{msg}");
     }
 }

@@ -8,10 +8,10 @@
 //! fixed bucket layout. A dead daemon is recorded as
 //! `reachable: false` with its error string and simply contributes
 //! nothing to the merge; it never poisons the cluster view. Views
-//! land in a ring of the last [`DEFAULT_STAT_RING`] ticks
-//! (`GALLOPER_STAT_RING`), and when `GALLOPER_JSON_OUT` is set the
-//! ring is exported as `galloper_cluster_metrics.json` after every
-//! tick, so a crashed run leaves its telemetry behind.
+//! land in a ring of the last [`STAT_RING`] ticks, and when
+//! `GALLOPER_JSON_OUT` is set the ring is exported as
+//! `galloper_cluster_metrics.json` after every tick, so a crashed run
+//! leaves its telemetry behind.
 //!
 //! Scrape health is itself metered: `net.scrape.ticks`,
 //! `net.scrape.errors` (malformed stats documents),
@@ -27,14 +27,14 @@ use std::time::{Duration, Instant};
 use galloper_obs::{global, global_trace, json, Json, RegistrySnapshot};
 
 use crate::conn::Conn;
-use crate::env_positive;
 use crate::proto::{Request, Response};
 
 /// Default scrape interval in milliseconds (`GALLOPER_SCRAPE_MS`).
 pub const DEFAULT_SCRAPE_MS: u64 = 1000;
 
-/// Default cluster-view ring capacity (`GALLOPER_STAT_RING`).
-pub const DEFAULT_STAT_RING: usize = 120;
+/// Cluster-view ring capacity of a [`Scraper::from_env`] scraper:
+/// two minutes of history at the default interval.
+pub const STAT_RING: usize = 120;
 
 /// Dial/read timeout for one node poll. Connection refusal from a dead
 /// loopback daemon fails immediately; this bounds the hang against a
@@ -47,13 +47,19 @@ const POLL: Duration = Duration::from_millis(50);
 /// Reads `GALLOPER_SCRAPE_MS` (default [`DEFAULT_SCRAPE_MS`]);
 /// malformed or zero values warn on stderr.
 pub fn scrape_ms_from_env() -> u64 {
-    env_positive("GALLOPER_SCRAPE_MS", DEFAULT_SCRAPE_MS)
-}
-
-/// Reads `GALLOPER_STAT_RING` (default [`DEFAULT_STAT_RING`]);
-/// malformed or zero values warn on stderr.
-pub fn stat_ring_from_env() -> usize {
-    env_positive("GALLOPER_STAT_RING", DEFAULT_STAT_RING)
+    let Ok(s) = std::env::var("GALLOPER_SCRAPE_MS") else {
+        return DEFAULT_SCRAPE_MS;
+    };
+    match s.trim().parse() {
+        Ok(ms) if ms > 0 => ms,
+        _ => {
+            eprintln!(
+                "warning: GALLOPER_SCRAPE_MS='{s}' is not a positive integer; \
+                 using {DEFAULT_SCRAPE_MS}"
+            );
+            DEFAULT_SCRAPE_MS
+        }
+    }
 }
 
 /// One node's answer (or failure) within a scrape tick.
@@ -194,13 +200,13 @@ impl Scraper {
         }
     }
 
-    /// [`spawn`](Scraper::spawn) configured from `GALLOPER_SCRAPE_MS`
-    /// and `GALLOPER_STAT_RING`.
+    /// [`spawn`](Scraper::spawn) polling every `GALLOPER_SCRAPE_MS`
+    /// into a [`STAT_RING`]-tick ring.
     pub fn from_env(addrs: Vec<String>) -> Scraper {
         Scraper::spawn(
             addrs,
             Duration::from_millis(scrape_ms_from_env()),
-            stat_ring_from_env(),
+            STAT_RING,
         )
     }
 
@@ -363,7 +369,7 @@ fn scrape_node(addr: &str) -> NodeStats {
     }
     let raw = match conn.call(&Request::Stats) {
         Ok(Response::Stats(bytes)) => bytes,
-        Ok(other) => return fail(format!("unexpected stats response: {other:?}"), None),
+        Ok(other) => return fail(format!("unexpected stats response: {}", other.name()), None),
         Err(e) => return fail(e.to_string(), None),
     };
     let text = match String::from_utf8(raw) {

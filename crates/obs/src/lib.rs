@@ -24,8 +24,6 @@
 //!   machine-readable `BENCH_*.json` / snapshot files.
 //! * `GALLOPER_TRACE` — set to `1`/`true` to enable the global trace
 //!   ring from process start (see [`init_from_env`]).
-//! * `GALLOPER_TRACE_CAP` — capacity of the global trace ring
-//!   (default 65 536 events; read once, at first use).
 //! * `GALLOPER_OP_LOG` — file path; when set, every top-level DFS
 //!   operation appends one [`op::OpReport`] JSON line there.
 

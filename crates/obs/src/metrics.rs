@@ -545,7 +545,7 @@ fn warn_dropped_once(dropped: u64) {
     WARNED.get_or_init(|| {
         eprintln!(
             "galloper-obs: trace ring dropped {dropped} event(s); \
-             raise GALLOPER_TRACE_CAP for a complete trace"
+             the exported trace is incomplete"
         );
     });
 }

@@ -317,19 +317,11 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// The process-wide trace ring, disabled until
-/// [`TraceRing::set_enabled`] is called. Capacity defaults to 65 536
-/// events; `GALLOPER_TRACE_CAP` (read once, at first use) overrides it.
+/// The process-wide trace ring of 65 536 events, disabled until
+/// [`TraceRing::set_enabled`] is called.
 pub fn global_trace() -> &'static TraceRing {
     static GLOBAL: OnceLock<TraceRing> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let cap = std::env::var("GALLOPER_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(65_536);
-        TraceRing::with_capacity(cap)
-    })
+    GLOBAL.get_or_init(|| TraceRing::with_capacity(65_536))
 }
 
 /// A small dense id for the current thread (first thread to ask gets 0).

@@ -182,13 +182,6 @@ impl Pyramid {
         &self.inner
     }
 
-    /// Overrides the number of threads used by bulk kernels.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
     /// The `(g+1) × k` MDS parity matrix this code was derived from, with
     /// the XOR row first. Exposed for the Galloper construction, which
     /// must agree with Pyramid block-for-block.

@@ -51,6 +51,34 @@ if grep -rnE 'GALLOPER_IO_MODE|GALLOPER_STREAM_GROUPS|IoMode|with_concurrency|Ba
   exit 1
 fi
 
+# Every setting earns its place: a knob that nothing sets to a second
+# value is the constant it defaults to. The serving-plane tunables, the
+# address knobs that duplicate --listen / --gateway, the per-family
+# thread overrides (the pool's width is the one thread-count rule) and
+# the straggler multiplier nothing read stay deleted. (The bracketed
+# letters keep this script from matching itself.)
+echo "==> no deleted knobs"
+if grep -rnE 'GALLOPER_(CHUNK_BYTES|ADMISSION_MS|MAX_INFLIGHT|STAT_RING|LISTEN|GATEWAY|POOL_THREADS|TRACE_CAP|KERNEL_MB)\b|with_thread[s]|set_slo[w]' \
+  crates src tests scripts README.md DESIGN.md; then
+  echo "ci: a deleted knob is back; make it a constant unless something sets it"
+  exit 1
+fi
+
+# The README's env table is the one list of knobs: every GALLOPER_*
+# name non-test code reads has a row, and every row has a reader.
+# (Test modules sit at the end of their file; the handshake tokens are
+# printed, never read this way.)
+echo "==> README env table = env knobs read in crates/*/src"
+knobs_read="$(find crates/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{exit} 1' {} \; \
+  | grep -oE '(env::var(_os)?|env_usize|env_f64)\("GALLOPER_[A-Z_]+"' \
+  | grep -oE 'GALLOPER_[A-Z_]+' | sort -u)"
+knobs_documented="$(grep -oE '^\| `GALLOPER_[A-Z_]+`' README.md | grep -oE 'GALLOPER_[A-Z_]+' | sort -u)"
+if [ "$knobs_read" != "$knobs_documented" ]; then
+  echo "ci: README's env table and the knobs read in crates/*/src differ (< read, > documented):"
+  diff <(echo "$knobs_read") <(echo "$knobs_documented") || true
+  exit 1
+fi
+
 # Every read is a range read: `ErasureCode::read_range_into` is the one
 # primitive, `Dfs::read_span` its one caller in the namespace, and
 # `StripeDecoder` a driver over it. `decode` stays for what is not a
