@@ -6,11 +6,11 @@
 //! Usage: `cargo run -p galloper-bench --release --bin tradeoffs`
 
 use galloper_bench::table::Table;
-use galloper_codes::{build_code, BoxedCode, CodeSpec};
+use galloper_codes::{build_code, CodeSpec};
 use galloper_erasure::reliability::{
     data_loss_probability, expected_repair_io, guaranteed_tolerance,
 };
-use galloper_erasure::ErasureCode;
+use galloper_erasure::{ErasureCode, LinearCode};
 
 fn main() {
     // Annualized server failure probability in the spirit of published
@@ -27,7 +27,7 @@ fn main() {
         "blocks holding data",
     ]);
 
-    let codes: Vec<(&str, BoxedCode)> = vec![
+    let codes: Vec<(&str, LinearCode)> = vec![
         (
             "(4,2) Reed-Solomon",
             build_code(&CodeSpec::rs(4, 2, 64)).unwrap(),
@@ -58,9 +58,9 @@ fn main() {
             name.to_string(),
             code.num_blocks().to_string(),
             format!("{:.2}x", code.storage_overhead()),
-            guaranteed_tolerance(code.as_ref()).to_string(),
-            format!("{:.2}", expected_repair_io(code.as_ref())),
-            format!("{:.2e}", data_loss_probability(code.as_ref(), p)),
+            guaranteed_tolerance(code).to_string(),
+            format!("{:.2}", expected_repair_io(code)),
+            format!("{:.2e}", data_loss_probability(code, p)),
             format!("{data_blocks}/{}", code.num_blocks()),
         ]);
     }

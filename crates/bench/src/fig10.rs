@@ -118,14 +118,14 @@ pub fn run(block_mb: f64) -> Fig10Result {
     Fig10Result {
         homogeneous: run_weighting(
             &cluster,
-            homogeneous_code.as_ref(),
+            &homogeneous_code,
             &placement,
             block_mb,
             "homogeneous",
         ),
         heterogeneous: run_weighting(
             &cluster,
-            heterogeneous_code.as_ref(),
+            &heterogeneous_code,
             &placement,
             block_mb,
             "heterogeneous",

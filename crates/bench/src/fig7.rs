@@ -9,9 +9,9 @@
 use std::time::Instant;
 
 use galloper::{GalloperParams, StripeAllocation};
-use galloper_codes::{build_code, BoxedCode, CodeSpec};
+use galloper_codes::{build_code, CodeSpec};
 use galloper_erasure::stream::StripeEncoder;
-use galloper_erasure::{ErasureCode, ObjectCodec};
+use galloper_erasure::{ErasureCode, LinearCode, ObjectCodec};
 
 use crate::payload;
 
@@ -72,11 +72,11 @@ impl Fig7StreamRow {
 /// The three codes under test, sharing one block size.
 pub struct CodeTrio {
     /// `(k, 2)` Reed–Solomon.
-    pub rs: BoxedCode,
+    pub rs: LinearCode,
     /// `(k, 2, 1)` Pyramid.
-    pub pyramid: BoxedCode,
+    pub pyramid: LinearCode,
     /// `(k, 2, 1)` Galloper with uniform weights.
-    pub galloper: BoxedCode,
+    pub galloper: LinearCode,
     /// The common encoded-block size in bytes.
     pub block_bytes: usize,
 }
@@ -150,8 +150,9 @@ pub fn stream_times(block_mb: f64, reps: usize, groups: usize) -> Vec<Fig7Stream
         .iter()
         .map(|&k| {
             let trio = build_trio(k, block_mb);
-            let codec = ObjectCodec::new(trio.galloper);
-            let data = payload(codec.code().message_len() * groups, 7 + k as u64);
+            let code = &trio.galloper;
+            let codec = ObjectCodec::new(code.clone());
+            let data = payload(code.message_len() * groups, 7 + k as u64);
 
             let oneshot_secs = time_mean(reps, || {
                 std::hint::black_box(codec.encode_object(&data).unwrap());
@@ -163,7 +164,7 @@ pub fn stream_times(block_mb: f64, reps: usize, groups: usize) -> Vec<Fig7Stream
                     std::hint::black_box(blocks.last().map(|b| b.len()));
                     Ok(())
                 };
-                let mut encoder = StripeEncoder::new(codec.code(), sink);
+                let mut encoder = StripeEncoder::new(code, sink);
                 encoder.push(&data).unwrap();
                 let (manifest, _sink) = encoder.finish().unwrap();
                 std::hint::black_box(manifest);

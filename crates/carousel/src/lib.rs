@@ -98,6 +98,11 @@ impl Carousel {
     pub fn as_linear(&self) -> &LinearCode {
         &self.inner
     }
+
+    /// The underlying generic linear code, by value.
+    pub fn into_linear(self) -> LinearCode {
+        self.inner
+    }
 }
 
 delegate_erasure_code!(Carousel, inner);

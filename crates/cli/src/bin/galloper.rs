@@ -43,7 +43,7 @@ fn main() -> ExitCode {
     }
     let result = run(&args);
     // Snapshot the metrics the command produced (gf kernel byte counts,
-    // erasure.<family>.* operation counters, timer histograms) even when
+    // erasure.* operation counters, timer histograms) even when
     // the command itself failed — a failure's metrics are often the most
     // interesting ones.
     write_metrics(&command, result.is_ok());

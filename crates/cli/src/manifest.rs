@@ -35,6 +35,14 @@ pub enum ManifestError {
     },
     /// A line is not `key = value`.
     BadLine(String),
+    /// `num_groups` disagrees with the groups `object_len` fills at the
+    /// code's message length.
+    GroupCount {
+        /// Groups the manifest records.
+        num_groups: usize,
+        /// Groups its `object_len` needs.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for ManifestError {
@@ -45,6 +53,13 @@ impl fmt::Display for ManifestError {
                 write!(f, "manifest value for '{key}' is invalid: '{value}'")
             }
             ManifestError::BadLine(l) => write!(f, "manifest line is not 'key = value': '{l}'"),
+            ManifestError::GroupCount {
+                num_groups,
+                expected,
+            } => write!(
+                f,
+                "manifest records {num_groups} coding groups, but its object_len fills {expected}"
+            ),
         }
     }
 }

@@ -33,11 +33,11 @@ use std::time::Instant;
 
 use galloper_codes::BuildError;
 use galloper_erasure::stream::{AlignedBuf, GroupSink, StreamError, StripeDecoder, StripeEncoder};
-use galloper_erasure::{ErasureCode, ObjectManifest, RebuildPlan, RepairPlan};
+use galloper_erasure::{ErasureCode, LinearCode, ObjectManifest, RebuildPlan, RepairPlan};
 use galloper_obs::{counter, global};
 
 use crate::ingest::Mmap;
-use crate::{build_code, BoxedCode, CodeSpec, Manifest, ManifestError};
+use crate::{build_code, CodeSpec, Manifest, ManifestError};
 
 use core::fmt;
 
@@ -148,10 +148,20 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("object.manifest")
 }
 
-/// The manifest of the encoded directory `dir` and the code it records.
-fn open_dir(dir: &Path) -> Result<(Manifest, BoxedCode), CliError> {
+/// The manifest of the encoded directory `dir` and the code it records,
+/// refused unless its `num_groups` is the count its `object_len` fills —
+/// otherwise a decode would write coding padding as object bytes.
+fn open_dir(dir: &Path) -> Result<(Manifest, LinearCode), CliError> {
     let manifest = Manifest::from_text(&fs::read_to_string(manifest_path(dir))?)?;
     let code = build_code(&manifest.spec)?;
+    let expected = manifest.object_len.div_ceil(code.message_len()).max(1);
+    if manifest.num_groups != expected {
+        return Err(ManifestError::GroupCount {
+            num_groups: manifest.num_groups,
+            expected,
+        }
+        .into());
+    }
     Ok((manifest, code))
 }
 
@@ -385,7 +395,7 @@ pub fn repair_block(dir: &Path, target: usize) -> Result<usize, CliError> {
 /// group buffer per file read. A failed pass leaves no temporary file.
 fn rebuild_files(
     dir: &Path,
-    code: &BoxedCode,
+    code: &LinearCode,
     num_groups: usize,
     plan: &RebuildPlan,
 ) -> Result<(), CliError> {
@@ -456,7 +466,7 @@ fn scan_blocks(dir: &Path, expected: usize, n: usize) -> (Vec<Option<u64>>, Vec<
 /// The health line both reports end with (or start from): how many
 /// blocks are present and whether the object is healthy, `degraded`
 /// (still decodable) or unrecoverable.
-fn health_line(code: &BoxedCode, present: &[bool], degraded: &str) -> String {
+fn health_line(code: &LinearCode, present: &[bool], degraded: &str) -> String {
     let (have, n) = (present.iter().filter(|&&p| p).count(), present.len());
     let state = if have == n {
         "fully healthy"
@@ -698,6 +708,29 @@ mod tests {
             Err(CliError::CorruptBlock { block: 3, .. }) => {}
             other => panic!("expected CorruptBlock, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_group_count_must_match_object_len() {
+        let dir = tempdir("groups");
+        let input = dir.join("input.bin");
+        fs::write(&input, vec![5u8; 30_000]).unwrap();
+        let out = dir.join("encoded");
+        let manifest = encode_file(&input, &out, &galloper_spec()).unwrap();
+        assert_eq!(manifest.num_groups, 2);
+        let text = fs::read_to_string(manifest_path(&out)).unwrap();
+        let edited = text.replace("object_len = 30000", "object_len = 9000000");
+        fs::write(manifest_path(&out), edited).unwrap();
+        let restored = dir.join("restored.bin");
+        match decode_file(&out, &restored) {
+            Err(CliError::Manifest(ManifestError::GroupCount {
+                num_groups: 2,
+                expected: 314,
+            })) => {}
+            other => panic!("expected GroupCount, got {other:?}"),
+        }
+        assert!(!restored.exists(), "no output for a refused manifest");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -30,7 +30,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use galloper_codes::{build_code, CodeSpec};
-use galloper_dfs::{Dfs, DiskStore};
+use galloper_dfs::{Dfs, DiskStore, ErasureCode};
 use galloper_net::{
     Conn, Daemon, Gateway, RemoteStore, Response, Scraper, DEFAULT_MAX_INFLIGHT, WHOLE_OBJECT_MAX,
 };

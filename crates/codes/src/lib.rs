@@ -3,11 +3,13 @@
 //! The four code families — Reed–Solomon (`galloper-rs`), Pyramid
 //! (`galloper-pyramid`), Carousel (`galloper-carousel`), and Galloper
 //! (`galloper`, plus its all-symbol-locality variant) — share the
-//! [`ErasureCode`] trait but historically each call site constructed them
-//! with family-specific `(k, l, g, N, stripe)` plumbing. [`build_code`]
+//! [`ErasureCode`](galloper_erasure::ErasureCode) trait but historically
+//! each call site constructed them with family-specific
+//! `(k, l, g, N, stripe)` plumbing. [`build_code`]
 //! replaces that: a [`CodeSpec`] names the family and parameters, and the
-//! builder returns a boxed, [`Observed`]-instrumented code, so the CLI,
-//! the DFS, and every figure benchmark construct codes the same way.
+//! builder returns the family's [`LinearCode`] — every family is one
+//! generator matrix, so the CLI, the DFS, and every figure benchmark
+//! construct, run and measure codes the same way.
 //!
 //! `CodeSpec` is also exactly what the CLI's on-disk manifest records, so
 //! "rebuild the code an object was encoded with" is `build_code(&spec)`.
@@ -30,7 +32,7 @@
 
 use galloper::{Galloper, GalloperAsl, GalloperError, GalloperParams, StripeAllocation};
 use galloper_carousel::Carousel;
-use galloper_erasure::{ConstructionError, ErasureCode, Observed};
+use galloper_erasure::{ConstructionError, LinearCode};
 use galloper_pyramid::Pyramid;
 use galloper_rs::ReedSolomon;
 
@@ -187,15 +189,15 @@ impl From<GalloperError> for BuildError {
     }
 }
 
-/// A constructed code: boxed, instrumented, and thread-shareable (the
-/// streaming drivers overlap coding groups across scoped threads).
-pub type BoxedCode = Box<dyn ErasureCode + Send + Sync>;
+/// The code [`build_code`] returns. Kept as a name because the frozen
+/// `benchmark/` crate spells its codes this way.
+pub type BoxedCode = LinearCode;
 
-/// Instantiates the erasure code described by `spec`.
+/// Instantiates the erasure code described by `spec`, as the family's
+/// [`LinearCode`].
 ///
-/// Every code is wrapped in [`Observed`] with its family name, so all
-/// operations feed the `erasure.<family>.*` metrics that benchmarks and
-/// the CLI's `--json` snapshot at exit. Each construction bumps the
+/// The code records its own `erasure.*` metrics, one family-agnostic
+/// name per quantity. A successful construction bumps the
 /// `codes.build.<family>` counter and, inside an active operation,
 /// opens a `codes.build` span so Gaussian-elimination-heavy
 /// constructions show up in request traces.
@@ -204,31 +206,21 @@ pub type BoxedCode = Box<dyn ErasureCode + Send + Sync>;
 ///
 /// [`BuildError`] when the family is unknown or its parameters are
 /// invalid.
-pub fn build_code(spec: &CodeSpec) -> Result<BoxedCode, BuildError> {
+pub fn build_code(spec: &CodeSpec) -> Result<LinearCode, BuildError> {
     let _span = galloper_obs::op::current()
         .is_active()
         .then(|| galloper_obs::op::span("codes.build", "codes"));
-    galloper_obs::global()
-        .counter(&format!("codes.build.{}", spec.family))
-        .inc();
-    match spec.family.as_str() {
-        "rs" => Ok(Box::new(Observed::new(
-            "rs",
-            ReedSolomon::new(spec.k, spec.g, spec.stripe_size * spec.resolution.max(1))?,
-        ))),
-        "pyramid" => Ok(Box::new(Observed::new(
-            "pyramid",
-            Pyramid::new(
-                spec.k,
-                spec.l,
-                spec.g,
-                spec.stripe_size * spec.resolution.max(1),
-            )?,
-        ))),
-        "carousel" => Ok(Box::new(Observed::new(
-            "carousel",
-            Carousel::new(spec.k, spec.g, spec.stripe_size)?,
-        ))),
+    let code = match spec.family.as_str() {
+        "rs" => ReedSolomon::new(spec.k, spec.g, spec.stripe_size * spec.resolution.max(1))?
+            .into_linear(),
+        "pyramid" => Pyramid::new(
+            spec.k,
+            spec.l,
+            spec.g,
+            spec.stripe_size * spec.resolution.max(1),
+        )?
+        .into_linear(),
+        "carousel" => Carousel::new(spec.k, spec.g, spec.stripe_size)?.into_linear(),
         "galloper" => {
             let params =
                 GalloperParams::new(spec.k, spec.l, spec.g).map_err(GalloperError::from)?;
@@ -240,28 +232,30 @@ pub fn build_code(spec: &CodeSpec) -> Result<BoxedCode, BuildError> {
                 StripeAllocation::from_weights(params, &weights, spec.resolution)
                     .map_err(GalloperError::from)?
             };
-            Ok(Box::new(Observed::new(
-                "galloper",
-                Galloper::with_allocation(alloc, spec.stripe_size)?,
-            )))
+            Galloper::with_allocation(alloc, spec.stripe_size)?.into_linear()
         }
         "galloper-asl" => {
             let params =
                 GalloperParams::new(spec.k, spec.l, spec.g).map_err(GalloperError::from)?;
-            let code = if spec.counts.is_empty() {
+            if spec.counts.is_empty() {
                 GalloperAsl::uniform(spec.k, spec.l, spec.g, spec.stripe_size)
             } else {
                 GalloperAsl::with_counts(params, &spec.counts, spec.resolution, spec.stripe_size)
-            }?;
-            Ok(Box::new(Observed::new("galloper_asl", code)))
+            }?
+            .into_linear()
         }
-        other => Err(BuildError::UnknownFamily(other.to_string())),
-    }
+        other => return Err(BuildError::UnknownFamily(other.to_string())),
+    };
+    galloper_obs::global()
+        .counter(&format!("codes.build.{}", spec.family))
+        .inc();
+    Ok(code)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galloper_erasure::ErasureCode;
 
     #[test]
     fn builds_each_family_via_helpers() {
@@ -315,6 +309,8 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, BuildError::UnknownFamily(ref f) if f == "raid0"));
         assert!(std::error::Error::source(&err).is_none());
+        let snapshot = galloper_obs::global().snapshot().render();
+        assert!(!snapshot.contains("\"codes.build.raid0\""), "{snapshot}");
     }
 
     #[test]

@@ -188,6 +188,11 @@ impl GalloperAsl {
     pub fn as_linear(&self) -> &LinearCode {
         &self.inner
     }
+
+    /// The underlying generic linear code, by value.
+    pub fn into_linear(self) -> LinearCode {
+        self.inner
+    }
 }
 
 galloper_erasure::delegate_erasure_code!(GalloperAsl, inner);

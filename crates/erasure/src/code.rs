@@ -62,10 +62,7 @@ pub trait ErasureCode {
     /// coding group after coding group with no per-group allocation. The
     /// buffers are plain mutable byte slices, so any backing storage
     /// works — pooled aligned buffers, `Vec`s, or views into a larger
-    /// mapping. The default implementation delegates to
-    /// [`ErasureCode::encode`] and copies the resulting blocks into the
-    /// buffers; [`LinearCode`](crate::LinearCode) overrides it to write
-    /// into the buffers directly.
+    /// mapping.
     ///
     /// # Errors
     ///
@@ -73,21 +70,7 @@ pub trait ErasureCode {
     /// * [`CodeError::WrongBlockCount`] if `blocks.len() != num_blocks()`.
     /// * [`CodeError::BlockSizeMismatch`] if any buffer is not exactly
     ///   `block_len()` bytes.
-    fn encode_into(&self, data: &[u8], blocks: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        if blocks.len() != self.num_blocks() {
-            return Err(CodeError::WrongBlockCount {
-                got: blocks.len(),
-                expected: self.num_blocks(),
-            });
-        }
-        if blocks.iter().any(|b| b.len() != self.block_len()) {
-            return Err(CodeError::BlockSizeMismatch);
-        }
-        for (dst, src) in blocks.iter_mut().zip(self.encode(data)?) {
-            dst.copy_from_slice(&src);
-        }
-        Ok(())
-    }
+    fn encode_into(&self, data: &[u8], blocks: &mut [&mut [u8]]) -> Result<(), CodeError>;
 
     /// Decodes the original message from the available blocks
     /// (`None` marks an erased block).
@@ -107,10 +90,9 @@ pub trait ErasureCode {
     /// primitive every serving path calls; [`ErasureCode::decode`] is
     /// what it falls back to, and what repair and the test oracles use.
     ///
-    /// The default knows nothing about where data lives: it decodes,
-    /// then slices. [`LinearCode`](crate::LinearCode) copies the stripes
-    /// whose home block is present and recovers the rest through the
-    /// lost block's repair row.
+    /// [`LinearCode`](crate::LinearCode) copies the stripes whose home
+    /// block is present and recovers the rest through the lost block's
+    /// repair row.
     ///
     /// # Errors
     ///
@@ -128,9 +110,7 @@ pub trait ErasureCode {
         len: usize,
         blocks: &[Option<&[u8]>],
         out: &mut Vec<u8>,
-    ) -> Result<ReadStats, CodeError> {
-        crate::read::read_via_decode(self, offset, len, blocks, 0, out)
-    }
+    ) -> Result<ReadStats, CodeError>;
 
     /// The repair plan for reconstructing `target` when every other block
     /// is available.
@@ -154,186 +134,10 @@ pub trait ErasureCode {
     fn layout(&self) -> DataLayout;
 
     /// Whether the given availability pattern can be decoded.
-    ///
-    /// The default implementation is conservative and generic: it asks
-    /// `decode` with zero-filled blocks and reports whether it succeeds.
-    /// Implementations override this with a rank check.
-    fn can_decode(&self, available: &[bool]) -> bool {
-        if available.len() != self.num_blocks() {
-            return false;
-        }
-        let zeros = vec![0u8; self.block_len()];
-        let blocks: Vec<Option<&[u8]>> = available
-            .iter()
-            .map(|&a| if a { Some(zeros.as_slice()) } else { None })
-            .collect();
-        self.decode(&blocks).is_ok()
-    }
+    fn can_decode(&self, available: &[bool]) -> bool;
 
     /// Storage overhead factor: total stored bytes / original bytes.
     fn storage_overhead(&self) -> f64 {
         self.num_blocks() as f64 * self.block_len() as f64 / self.message_len() as f64
-    }
-}
-
-impl<T: ErasureCode + ?Sized> ErasureCode for Box<T> {
-    fn num_data_blocks(&self) -> usize {
-        (**self).num_data_blocks()
-    }
-    fn num_blocks(&self) -> usize {
-        (**self).num_blocks()
-    }
-    fn block_role(&self, block: usize) -> BlockRole {
-        (**self).block_role(block)
-    }
-    fn message_len(&self) -> usize {
-        (**self).message_len()
-    }
-    fn block_len(&self) -> usize {
-        (**self).block_len()
-    }
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        (**self).encode(data)
-    }
-    fn encode_into(&self, data: &[u8], blocks: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        (**self).encode_into(data, blocks)
-    }
-    fn decode(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError> {
-        (**self).decode(blocks)
-    }
-    fn read_range_into(
-        &self,
-        offset: usize,
-        len: usize,
-        blocks: &[Option<&[u8]>],
-        out: &mut Vec<u8>,
-    ) -> Result<ReadStats, CodeError> {
-        (**self).read_range_into(offset, len, blocks, out)
-    }
-    fn repair_plan(&self, target: usize) -> Result<RepairPlan, CodeError> {
-        (**self).repair_plan(target)
-    }
-    fn reconstruct(&self, target: usize, sources: &[(usize, &[u8])]) -> Result<Vec<u8>, CodeError> {
-        (**self).reconstruct(target, sources)
-    }
-    fn layout(&self) -> DataLayout {
-        (**self).layout()
-    }
-    fn can_decode(&self, available: &[bool]) -> bool {
-        (**self).can_decode(available)
-    }
-    fn storage_overhead(&self) -> f64 {
-        (**self).storage_overhead()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A trivial 2-way replication "code" exercising the trait's defaults.
-    struct Replica {
-        len: usize,
-    }
-
-    impl ErasureCode for Replica {
-        fn num_data_blocks(&self) -> usize {
-            1
-        }
-        fn num_blocks(&self) -> usize {
-            2
-        }
-        fn block_role(&self, block: usize) -> BlockRole {
-            if block == 0 {
-                BlockRole::Data
-            } else {
-                BlockRole::GlobalParity
-            }
-        }
-        fn message_len(&self) -> usize {
-            self.len
-        }
-        fn block_len(&self) -> usize {
-            self.len
-        }
-        fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-            if data.len() != self.len {
-                return Err(CodeError::InvalidDataLength {
-                    got: data.len(),
-                    multiple_of: self.len,
-                });
-            }
-            Ok(vec![data.to_vec(), data.to_vec()])
-        }
-        fn decode(&self, blocks: &[Option<&[u8]>]) -> Result<Vec<u8>, CodeError> {
-            if blocks.len() != 2 {
-                return Err(CodeError::WrongBlockCount {
-                    got: blocks.len(),
-                    expected: 2,
-                });
-            }
-            blocks
-                .iter()
-                .flatten()
-                .next()
-                .map(|b| b.to_vec())
-                .ok_or(CodeError::Undecodable { available: vec![] })
-        }
-        fn repair_plan(&self, target: usize) -> Result<RepairPlan, CodeError> {
-            Ok(RepairPlan::new(target, vec![1 - target]))
-        }
-        fn reconstruct(
-            &self,
-            _target: usize,
-            sources: &[(usize, &[u8])],
-        ) -> Result<Vec<u8>, CodeError> {
-            Ok(sources[0].1.to_vec())
-        }
-        fn layout(&self) -> DataLayout {
-            DataLayout::systematic(1, 2, 1)
-        }
-    }
-
-    #[test]
-    fn default_can_decode_uses_decode() {
-        let c = Replica { len: 4 };
-        assert!(c.can_decode(&[true, true]));
-        assert!(c.can_decode(&[false, true]));
-        assert!(!c.can_decode(&[false, false]));
-        assert!(!c.can_decode(&[true])); // wrong arity
-    }
-
-    #[test]
-    fn storage_overhead_default() {
-        let c = Replica { len: 4 };
-        assert_eq!(c.storage_overhead(), 2.0);
-    }
-
-    #[test]
-    fn default_encode_into_fills_buffers() {
-        let c = Replica { len: 4 };
-        let (mut b0, mut b1) = ([0xAAu8; 4], [0u8; 4]);
-        let mut bufs: Vec<&mut [u8]> = vec![&mut b0, &mut b1];
-        c.encode_into(b"abcd", &mut bufs).unwrap();
-        assert_eq!(&b0, b"abcd");
-        assert_eq!(&b1, b"abcd");
-
-        let mut lone = [0u8; 4];
-        let mut wrong: Vec<&mut [u8]> = vec![&mut lone];
-        assert!(matches!(
-            c.encode_into(b"abcd", &mut wrong),
-            Err(CodeError::WrongBlockCount {
-                got: 1,
-                expected: 2
-            })
-        ));
-
-        let mut short = [0u8; 3];
-        let mut long = [0u8; 4];
-        let mut sized: Vec<&mut [u8]> = vec![&mut short, &mut long];
-        assert!(matches!(
-            c.encode_into(b"abcd", &mut sized),
-            Err(CodeError::BlockSizeMismatch)
-        ));
     }
 }

@@ -29,7 +29,6 @@ mod error;
 mod layout;
 mod linear;
 mod object;
-pub mod observe;
 mod plan;
 mod read;
 mod rebuild;
@@ -42,7 +41,6 @@ pub use error::CodeError;
 pub use layout::DataLayout;
 pub use linear::{ConstructionError, LinearCode};
 pub use object::{EncodedObject, ObjectCodec, ObjectManifest};
-pub use observe::Observed;
 pub use plan::RepairPlan;
 pub use read::ReadStats;
 pub use rebuild::RebuildPlan;

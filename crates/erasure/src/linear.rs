@@ -234,12 +234,18 @@ impl LinearCode {
         &self.repair_matrices[block]
     }
 
-    /// The blocks `block`'s repair plan reads, in the order the columns
-    /// of [`LinearCode::repair_matrix`] take them — for the read path,
-    /// which borrows a plan per lost stripe and is not a repair, so it
-    /// neither clones nor counts as [`ErasureCode::repair_plan`] does.
-    pub(crate) fn repair_sources(&self, block: usize) -> &[usize] {
-        self.plans[block].sources()
+    /// `block`'s repair plan, borrowed: for the read path and
+    /// `reconstruct`, which use a plan without handing one out, so they
+    /// neither clone nor count as [`ErasureCode::repair_plan`] does. Its
+    /// sources are in the order the columns of
+    /// [`LinearCode::repair_matrix`] take them.
+    pub(crate) fn plan(&self, block: usize) -> Result<&RepairPlan, CodeError> {
+        self.plans
+            .get(block)
+            .ok_or(CodeError::BlockIndexOutOfRange {
+                index: block,
+                num_blocks: self.n,
+            })
     }
 
     /// Where original stripe `index` is stored, as `(block, position)` —
@@ -403,25 +409,27 @@ impl ErasureCode for LinearCode {
         blocks: &[Option<&[u8]>],
         out: &mut Vec<u8>,
     ) -> Result<ReadStats, CodeError> {
-        self.read_stripes_into(offset, len, blocks, out)
+        let _t = galloper_obs::global().timer("erasure.read_us");
+        counter!("erasure.read.calls", 1);
+        let stats = self.read_stripes_into(offset, len, blocks, out)?;
+        counter!("erasure.read.bytes_read", stats.bytes_read);
+        counter!("erasure.read.full_decodes", u64::from(stats.full_decode));
+        Ok(stats)
     }
 
     fn repair_plan(&self, target: usize) -> Result<RepairPlan, CodeError> {
-        let plan = self
-            .plans
-            .get(target)
-            .cloned()
-            .ok_or(CodeError::BlockIndexOutOfRange {
-                index: target,
-                num_blocks: self.n,
-            })?;
+        let plan = self.plan(target)?.clone();
         counter!("erasure.repair.plans", 1);
         counter!("erasure.repair.symbols_read", plan.sources().len());
+        counter!(
+            "erasure.repair.bytes_planned",
+            plan.sources().len() * self.block_len()
+        );
         Ok(plan)
     }
 
     fn reconstruct(&self, target: usize, sources: &[(usize, &[u8])]) -> Result<Vec<u8>, CodeError> {
-        let plan = self.repair_plan(target)?;
+        let plan = self.plan(target)?;
         let got: Vec<usize> = sources.iter().map(|(i, _)| *i).collect();
         if got != plan.sources() {
             return Err(CodeError::WrongSources {
@@ -635,6 +643,11 @@ mod tests {
             let rebuilt = code.reconstruct(target, &sources).unwrap();
             assert_eq!(rebuilt, blocks[target], "target {target}");
         }
+    }
+
+    #[test]
+    fn storage_overhead_is_stored_over_message_bytes() {
+        assert_eq!(xor_code(4).storage_overhead(), 1.5);
     }
 
     #[test]

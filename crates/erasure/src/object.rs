@@ -67,16 +67,6 @@ impl<C: ErasureCode> ObjectCodec<C> {
         ObjectCodec { code }
     }
 
-    /// The inner code.
-    pub fn code(&self) -> &C {
-        &self.code
-    }
-
-    /// Consumes the codec, returning the inner code.
-    pub fn into_inner(self) -> C {
-        self.code
-    }
-
     /// Number of coding groups an object of `len` bytes occupies.
     pub fn groups_for(&self, len: usize) -> usize {
         len.div_ceil(self.code.message_len()).max(1)
@@ -140,24 +130,6 @@ impl<C: ErasureCode> ObjectCodec<C> {
         }
         out.truncate(manifest.object_len);
         Ok(out)
-    }
-
-    /// Extracts an object's bytes directly from fully available groups
-    /// using the layout (no decoding arithmetic), truncating padding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any group is missing blocks (use
-    /// [`ObjectCodec::decode_object`] for degraded reads).
-    pub fn extract_object(&self, groups: &[Vec<Vec<u8>>], manifest: ObjectManifest) -> Vec<u8> {
-        let layout = self.code.layout();
-        let mut out = Vec::with_capacity(manifest.num_groups * self.code.message_len());
-        for group in groups {
-            let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
-            out.extend_from_slice(&layout.extract_data(&refs));
-        }
-        out.truncate(manifest.object_len);
-        out
     }
 }
 
@@ -225,14 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_object_matches_decode() {
-        let codec = ObjectCodec::new(xor_code(2));
-        let data: Vec<u8> = (0..10).map(|i| 200 - i as u8).collect();
-        let enc = codec.encode_object(&data).unwrap();
-        assert_eq!(codec.extract_object(&enc.groups, enc.manifest), data);
-    }
-
-    #[test]
     fn manifest_mismatch_is_rejected() {
         let codec = ObjectCodec::new(xor_code(2));
         let enc = codec.encode_object(&[1, 2, 3]).unwrap();
@@ -243,9 +207,7 @@ mod tests {
     #[test]
     fn accessors() {
         let codec = ObjectCodec::new(xor_code(2));
-        assert_eq!(codec.code().num_blocks(), 3);
         assert_eq!(codec.groups_for(0), 1);
         assert_eq!(codec.groups_for(9), 3);
-        let _inner = codec.into_inner();
     }
 }

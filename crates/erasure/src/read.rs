@@ -44,16 +44,15 @@ fn range_end(offset: usize, len: usize, message_len: usize) -> Result<usize, Cod
     }
 }
 
-/// The worst-case read, and the whole of it for a code that knows no
-/// better: full decode, then slice. `already_read` is the stripe count
-/// a cheaper attempt fetched before giving up.
+/// The worst-case read: full decode, then slice. `already_read` is the
+/// stripe count the stripe-wise attempt fetched before giving up.
 ///
 /// Conservative accounting: a full decode reads kN stripes from
 /// survivors (clamped to what actually survives). Deriving bytes from
 /// the same stripe count keeps `bytes_read == stripes_read · stripe
 /// size`.
-pub(crate) fn read_via_decode<C: ErasureCode + ?Sized>(
-    code: &C,
+fn read_via_decode(
+    code: &LinearCode,
     offset: usize,
     len: usize,
     blocks: &[Option<&[u8]>],
@@ -66,12 +65,12 @@ pub(crate) fn read_via_decode<C: ErasureCode + ?Sized>(
     }
     let decoded = code.decode(blocks)?;
     out.extend_from_slice(&decoded[offset..end]);
-    let big_n = code.layout().stripes_per_block();
     let available = blocks.iter().flatten().count();
-    let stripes_read = already_read + code.num_data_blocks().min(available) * big_n;
+    let stripes_read =
+        already_read + code.num_data_blocks().min(available) * code.stripes_per_block();
     Ok(ReadStats {
         stripes_read,
-        bytes_read: stripes_read * (code.block_len() / big_n),
+        bytes_read: stripes_read * code.stripe_size(),
         degraded: available < blocks.len(),
         full_decode: true,
     })
@@ -141,7 +140,7 @@ impl LinearCode {
             degraded = true;
             // Recover via the home block's repair matrix: stored stripe
             // `pos` = repair_matrix(home).row(pos) · (source stripes).
-            let sources = self.repair_sources(home);
+            let sources = self.plan(home)?.sources();
             if sources.iter().any(|&src| blocks[src].is_none()) {
                 // A source is down as well: fall back to full decode.
                 out.truncate(base);

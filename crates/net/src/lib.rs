@@ -35,7 +35,7 @@
 //! The topology `galloper serve` assembles:
 //!
 //! ```text
-//!  client ──TCP──▶ Gateway ──▶ Dfs<BoxedCode, RemoteStore>
+//!  client ──TCP──▶ Gateway ──▶ Dfs<LinearCode, RemoteStore>
 //!                               │ put/get/delete/scan (block plane)
 //!                  ┌────────────┼────────────┐
 //!                Daemon       Daemon       Daemon      (N processes)

@@ -182,6 +182,11 @@ impl Pyramid {
         &self.inner
     }
 
+    /// The underlying generic linear code, by value.
+    pub fn into_linear(self) -> LinearCode {
+        self.inner
+    }
+
     /// The `(g+1) × k` MDS parity matrix this code was derived from, with
     /// the XOR row first. Exposed for the Galloper construction, which
     /// must agree with Pyramid block-for-block.

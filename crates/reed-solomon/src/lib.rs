@@ -90,10 +90,14 @@ impl ReedSolomon {
         self.r
     }
 
-    /// The underlying generic linear code (generator access, thread
-    /// control).
+    /// The underlying generic linear code.
     pub fn as_linear(&self) -> &LinearCode {
         &self.inner
+    }
+
+    /// The underlying generic linear code, by value.
+    pub fn into_linear(self) -> LinearCode {
+        self.inner
     }
 }
 

@@ -83,8 +83,8 @@ fi
 # primitive, `Dfs::read_span` its one caller in the namespace, and
 # `StripeDecoder` a driver over it. `decode` stays for what is not a
 # serving read — the primitive's own fallback, `RebuildPlan::apply`'s
-# decode arm, `can_decode`'s default, the `ObjectCodec` oracle — and
-# none of those lives in fs.rs.
+# decode arm, the `ObjectCodec` oracle — and none of those lives in
+# fs.rs.
 echo "==> one read core"
 if grep -rnE 'decode_groups|decode_range|read_range_via_decode|seek_group|AsLinearCode|as_linear_code' \
   crates src tests examples README.md DESIGN.md; then
@@ -117,6 +117,25 @@ if grep -nE '\.(decode|reconstruct)\(' crates/dfs/src/fs.rs crates/cli/src/ops.r
 fi
 if grep -rnE 'fsck-object\.tmp|fsck-reencode\.tmp' crates src tests; then
   echo "ci: the fsck temp-object fallback is back; the rebuild pass writes only the lost blocks"
+  exit 1
+fi
+
+# One codec type: `build_code` returns the family's `LinearCode`, which
+# records every codec quantity once, under one literal `erasure.*` name.
+# The per-family metrics wrapper, the `Box` forward and the names built
+# per call stay deleted, and the only `ErasureCode` impls outside tests
+# are `LinearCode`'s and the `delegate_erasure_code!` body. (The
+# bracketed letters keep this script from matching itself.)
+echo "==> one codec type"
+if grep -rnE 'Observe[d]|ErasureCode for Bo[x]|forma[t]!\("erasure\.' \
+  crates src tests examples README.md DESIGN.md; then
+  echo "ci: a second codec type or per-family metric name is back; record it on LinearCode"
+  exit 1
+fi
+codec_impls="$(find crates/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{exit} 1' {} \; \
+  | grep -c 'ErasureCode fo[r] ' || true)"
+if [ "$codec_impls" -ne 2 ]; then
+  echo "ci: $codec_impls ErasureCode impl sites in crates/*/src; want 2 (LinearCode, delegate_erasure_code!)"
   exit 1
 fi
 

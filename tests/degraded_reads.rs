@@ -104,11 +104,11 @@ fn healthy_reads_have_no_amplification() {
 
 #[test]
 fn whole_message_reads_recover_a_lost_block_from_its_plan_alone() {
-    // The paper's guarantee on the one read path, through every forward
-    // a gateway's code goes through (`Box<Observed<family>>`): with any
-    // single block lost, reading the whole message is a copy of the
-    // healthy home stripes plus the lost block's repair plan — never a
-    // decode, and never a byte from anywhere else.
+    // The paper's guarantee on the one read path, on the code a gateway
+    // runs (`build_code`'s `LinearCode`): with any single block lost,
+    // reading the whole message is a copy of the healthy home stripes
+    // plus the lost block's repair plan — never a decode, and never a
+    // byte from anywhere else.
     let specs = [
         CodeSpec::rs(4, 2, 64),
         CodeSpec::pyramid(4, 2, 1, 64),
