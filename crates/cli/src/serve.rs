@@ -32,7 +32,8 @@ use std::time::Duration;
 use galloper_codes::{build_code, CodeSpec};
 use galloper_dfs::{Dfs, DiskStore, ErasureCode};
 use galloper_net::{
-    Conn, Daemon, Gateway, RemoteStore, Response, Scraper, DEFAULT_MAX_INFLIGHT, WHOLE_OBJECT_MAX,
+    fits_one_frame, Conn, Daemon, Gateway, RemoteStore, Response, Scraper, DEFAULT_MAX_INFLIGHT,
+    WHOLE_OBJECT_MAX,
 };
 
 /// Client-side timeout for `net-put` / `net-get` and the gateway's
@@ -170,7 +171,9 @@ pub fn run_serve(daemons: usize, root: &Path, listen: &str, spec: &CodeSpec) -> 
             code.num_blocks()
         ));
     }
-    if code.message_len() > WHOLE_OBJECT_MAX {
+    // The gateway refuses such a code too; refusing it here, by the
+    // same rule, spawns no daemon for a cluster that cannot serve.
+    if fits_one_frame(code.message_len() as u64, 0).is_err() {
         return Err(format!(
             "serve: a coding group holds {} bytes, more than the {WHOLE_OBJECT_MAX} one frame \
              carries; use a smaller --stripe-size",

@@ -302,9 +302,11 @@ impl BlockStore for DiskStore {
         let tmp = self.root.join(format!(".tmp-{key}"));
         {
             let mut f = fs::File::create(&tmp)?;
-            // Header and payload leave in one vectored syscall: the
-            // payload is never copied into a staging buffer, which is
-            // what keeps networked puts on the zero-copy path.
+            // Header and payload leave in one vectored syscall: this
+            // store adds no staging copy of the payload. A networked
+            // put has already been copied once before it lands here —
+            // the daemon's `Request::decode` copies the block out of
+            // its frame (`Reader::bytes`).
             let mut header = [0u8; DISK_HEADER];
             header[..4].copy_from_slice(&DISK_MAGIC);
             header[4..].copy_from_slice(&crc32(bytes).to_le_bytes());

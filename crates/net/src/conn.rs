@@ -21,6 +21,34 @@ use crate::proto::{ErrorKind, ProtocolError, Request, Response, TraceContext};
 /// prefixes, trace extension); anything bigger goes chunked.
 pub const WHOLE_OBJECT_MAX: usize = MAX_FRAME - 4096;
 
+/// Bytes a [`Request::PutObject`] frame spends beside the object and
+/// its name: the tag, two length prefixes and the trace extension.
+const PUT_ENVELOPE: usize = 1 + 4 + 4 + 1 + 16;
+
+/// The one frame-fit rule: whether an object of `len` bytes, named by
+/// `name_len` bytes, travels whole. The object must fit
+/// [`WHOLE_OBJECT_MAX`] and its `PutObject` frame — name, envelope and
+/// all — [`MAX_FRAME`]. `Conn` picks a put's wire shape by it, the
+/// gateway answers a whole-frame GET or refuses it by it, and a gateway
+/// refuses a `Dfs` whose coding group (`name_len` 0: a `Chunk` carries
+/// no name) one chunk could not carry.
+///
+/// # Errors
+///
+/// [`ProtocolError::Oversize`] with `max` [`WHOLE_OBJECT_MAX`] when the
+/// object has to go chunked.
+pub fn fits_one_frame(len: u64, name_len: usize) -> Result<(), ProtocolError> {
+    let frame = len.saturating_add((name_len + PUT_ENVELOPE) as u64);
+    if len <= WHOLE_OBJECT_MAX as u64 && frame <= MAX_FRAME as u64 {
+        Ok(())
+    } else {
+        Err(ProtocolError::Oversize {
+            len,
+            max: WHOLE_OBJECT_MAX,
+        })
+    }
+}
+
 /// Chunk size for chunked object transfers: a `PutChunk` carries at
 /// most this many bytes, and a `GetStart` window is as many whole
 /// coding groups as fit in it (at least one).
@@ -111,9 +139,10 @@ impl Conn {
             op: ctx.op,
             span: ctx.span,
         });
-        // One vectored write puts header + payload on the socket in a
-        // single syscall — no per-call BufWriter allocation, no copy of
-        // the payload into an intermediate buffer, nothing to flush.
+        // Encoding copies the request — a `PutObject`'s or `PutChunk`'s
+        // whole payload included — into one fresh `Vec`. One vectored
+        // write then puts header + that `Vec` on the socket in a single
+        // syscall: no second copy through a `BufWriter`, nothing to flush.
         let res = write_frame_vectored(&mut &self.stream, &req.encode_with_ctx(ctx));
         self.guard(res)
     }
@@ -141,8 +170,8 @@ impl Conn {
         self.recv_response()
     }
 
-    /// Stores an object of any size, choosing the wire shape by length:
-    /// at most [`WHOLE_OBJECT_MAX`] bytes travel as one
+    /// Stores an object of any size, choosing the wire shape by
+    /// [`fits_one_frame`]: an object that fits travels as one
     /// [`Request::PutObject`] frame (byte-identical to the historical
     /// encoding, so old servers interoperate); anything larger streams
     /// as `PutStart`/`PutChunk`/`PutCommit`. Returns [`Response::Ok`]
@@ -153,13 +182,7 @@ impl Conn {
     /// [`ProtocolError`] on transport failure (the connection is then
     /// poisoned).
     pub fn put_object(&mut self, name: &str, data: &[u8]) -> Result<Response, ProtocolError> {
-        if data.len() <= WHOLE_OBJECT_MAX {
-            return self.call(&Request::PutObject {
-                name: name.to_string(),
-                bytes: data.to_vec(),
-            });
-        }
-        self.put_chunked(name, data.len() as u64, &mut &*data)
+        self.put_reader(name, data.len() as u64, &mut &*data)
     }
 
     /// [`Conn::put_object`] for a source that streams: reads exactly
@@ -177,25 +200,14 @@ impl Conn {
         len: u64,
         reader: &mut impl Read,
     ) -> Result<Response, ProtocolError> {
-        if len <= WHOLE_OBJECT_MAX as u64 {
+        if fits_one_frame(len, name.len()).is_ok() {
             let mut data = vec![0u8; len as usize];
-            if let Err(e) = reader.read_exact(&mut data) {
-                return Err(ProtocolError::Io(e));
-            }
+            reader.read_exact(&mut data)?;
             return self.call(&Request::PutObject {
                 name: name.to_string(),
                 bytes: data,
             });
         }
-        self.put_chunked(name, len, reader)
-    }
-
-    fn put_chunked(
-        &mut self,
-        name: &str,
-        len: u64,
-        reader: &mut impl Read,
-    ) -> Result<Response, ProtocolError> {
         let id = match self.call(&Request::PutStart {
             name: name.to_string(),
             object_len: len,
@@ -320,5 +332,27 @@ impl Conn {
                 other => return Ok(other),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_fit_rule_measures_the_frame_the_encoder_writes() {
+        let ctx = Some(TraceContext { op: 1, span: 2 });
+        for name_len in [0, 1, 4070, 8192] {
+            let req = Request::PutObject {
+                name: "n".repeat(name_len),
+                bytes: vec![0; 3],
+            };
+            assert_eq!(req.encode_with_ctx(ctx).len(), 3 + name_len + PUT_ENVELOPE);
+        }
+        let max = WHOLE_OBJECT_MAX as u64;
+        let longest_name = MAX_FRAME - WHOLE_OBJECT_MAX - PUT_ENVELOPE;
+        assert!(fits_one_frame(max, longest_name).is_ok());
+        assert!(fits_one_frame(max, longest_name + 1).is_err());
+        assert!(fits_one_frame(max + 1, 0).is_err());
     }
 }

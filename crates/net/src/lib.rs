@@ -59,7 +59,7 @@ mod remote;
 pub mod scrape;
 mod server;
 
-pub use conn::{Conn, CHUNK_BYTES, WHOLE_OBJECT_MAX};
+pub use conn::{fits_one_frame, Conn, CHUNK_BYTES, WHOLE_OBJECT_MAX};
 pub use daemon::{Daemon, DaemonHandle};
 pub use frame::{FrameReader, FRAME_HEADER, MAX_FRAME};
 pub use gateway::{kind_of_dfs, Gateway, ADMISSION_TIMEOUT, DEFAULT_MAX_INFLIGHT};

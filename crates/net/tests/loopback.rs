@@ -7,7 +7,7 @@ use std::time::Duration;
 use galloper_codes::{build_code, CodeSpec};
 use galloper_dfs::{BlockGet, BlockKey, BlockStore, Dfs, ErasureCode, MemStore};
 use galloper_net::{
-    Conn, Daemon, ErrorKind, Gateway, RemoteStore, Request, Response, ServerHandle,
+    Conn, Daemon, ErrorKind, Gateway, ProtocolError, RemoteStore, Request, Response, ServerHandle,
     WHOLE_OBJECT_MAX,
 };
 use galloper_obs::global;
@@ -307,6 +307,37 @@ fn chunked_transfer_roundtrips_objects_straddling_the_frame_cap() {
         peak > 0 && peak < 64 << 20,
         "gateway pool peak {peak} bytes is not bounded by the group window"
     );
+}
+
+/// A name long enough to push a `WHOLE_OBJECT_MAX`-byte object's
+/// `PutObject` frame past `MAX_FRAME`: the client chooses the wire
+/// shape by the one frame-fit rule, so the object goes chunked instead
+/// of failing the frame write and poisoning the connection.
+#[test]
+fn a_long_name_beside_a_frame_sized_object_roundtrips() {
+    let (_daemons, _gateway, mut conn) = spawn_cluster_with(3, &CodeSpec::rs(2, 1, 1 << 20));
+    let name = "n".repeat(8 << 10);
+    let bytes = payload(WHOLE_OBJECT_MAX, 0x10_4E);
+    assert_eq!(conn.put_object(&name, &bytes).expect("put"), Response::Ok);
+    match conn.get_object(&name).expect("get") {
+        Response::Blob(read) => assert!(read == bytes, "byte mismatch"),
+        other => panic!("expected blob, got {other:?}"),
+    }
+}
+
+/// A gateway whose coding group one `Chunk` frame cannot carry would
+/// accept uploads it could never serve back, so it refuses to start.
+#[test]
+fn a_gateway_refuses_a_group_wider_than_one_frame() {
+    // RS(2,1) over 33 MiB stripes: a 66 MiB coding group.
+    let code = build_code(&CodeSpec::rs(2, 1, 33 << 20)).expect("code");
+    let group = code.message_len() as u64;
+    match Gateway::spawn(listener(), Dfs::new(3, code), 64) {
+        Err(ProtocolError::Oversize { len, max }) => {
+            assert_eq!((len, max), (group, WHOLE_OBJECT_MAX));
+        }
+        other => panic!("expected an oversize refusal, got {other:?}"),
+    }
 }
 
 /// Compat: a client that only speaks the historical whole-frame

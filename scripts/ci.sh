@@ -139,6 +139,24 @@ if [ "$codec_impls" -ne 2 ]; then
   exit 1
 fi
 
+# One object handler: the gateway serves its seven object verbs through
+# one dispatch, which takes the `Dfs` lock once per request (read for
+# the gets, write for the puts); session teardown is the one other lock
+# site. The second handler and the predicate that routed between the two
+# stay deleted. (The bracketed letters keep this script from matching
+# itself.)
+echo "==> one object handler"
+if grep -rnE 'handle_object_reques[t]|is_stream_reques[t]' crates/net/src; then
+  echo "ci: a second gateway handler is back; serve the verb through the one dispatch"
+  exit 1
+fi
+lock_sites="$(awk '/^#\[cfg\(test\)\]/{exit} 1' crates/net/src/gateway.rs \
+  | { grep -oE '\.(rea[d]|writ[e])\(\)' || true; } | wc -l)"
+if [ "$lock_sites" -gt 3 ]; then
+  echo "ci: $lock_sites Dfs lock sites in gateway.rs; want at most 3 (the dispatch's two, teardown's one)"
+  exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
