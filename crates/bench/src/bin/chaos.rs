@@ -11,13 +11,15 @@
 //!
 //! Usage: `cargo run -p galloper-bench --release --bin chaos [-- --json [DIR]]`
 //! Env:   `GALLOPER_FAULT_SEED`  (default 0xD15A57E4; schedule seed)
-//!        `GALLOPER_CHAOS_TICKS` (default 400; schedule horizon)
-//!        `GALLOPER_OBJECT_KB`   (default 96; object size per family)
 //!        `GALLOPER_JSON_OUT`    (directory; write BENCH_chaos.json there)
+//!
+//! Every number it writes is determined by the seed, so the document is
+//! reproduced exactly under either kernel backend and CI diffs it
+//! against the committed `results/BENCH_chaos.json` for equality.
 
 use galloper::Galloper;
 use galloper_bench::table::{mb, secs, Table};
-use galloper_bench::{emit_json, env_usize, payload};
+use galloper_bench::{emit_json, payload};
 use galloper_carousel::Carousel;
 use galloper_dfs::{faults, Dfs, ErasureCode, FaultPlan, FaultPlanConfig, ReadOptions};
 use galloper_obs::Json;
@@ -25,6 +27,11 @@ use galloper_pyramid::Pyramid;
 use galloper_rs::ReedSolomon;
 use galloper_simstore::{simulate_repair, Cluster, Placement, ServerSpec};
 use galloper_testkit::TestRng;
+
+/// Horizon of the fault schedule, logical-clock ticks.
+const TICKS: u64 = 400;
+/// Object size per family, KiB.
+const OBJECT_KB: usize = 96;
 
 /// What one family's soak survived and what surviving cost it.
 struct Outcome {
@@ -41,7 +48,6 @@ struct Outcome {
     repair_bytes_read: usize,
     requeued: usize,
     reads: usize,
-    wall_ms: f64,
 }
 
 impl Outcome {
@@ -61,7 +67,6 @@ impl Outcome {
             .field("requeued", self.requeued)
             .field("reads", self.reads)
             .field("data_loss", 0u64)
-            .field("wall_ms", self.wall_ms)
     }
 }
 
@@ -82,7 +87,7 @@ fn counter_values() -> Vec<u64> {
         .collect()
 }
 
-fn soak<C>(family: &'static str, code: C, seed: u64, ticks: u64, object_len: usize) -> Outcome
+fn soak<C>(family: &'static str, code: C, seed: u64) -> Outcome
 where
     C: ErasureCode,
 {
@@ -95,14 +100,14 @@ where
     dfs.set_retry_limit(8);
 
     let mut rng = TestRng::new(seed ^ 0x0BF5_CA7E);
-    let data = payload(object_len, seed);
+    let data = payload(OBJECT_KB << 10, seed);
     dfs.put("chaos-object", &data).unwrap();
 
     let plan = FaultPlan::seeded(
         seed,
         &FaultPlanConfig {
             num_servers,
-            horizon: ticks,
+            horizon: TICKS,
             tolerance,
             max_crashes: num_servers - n_blocks - tolerance - 2,
         },
@@ -116,7 +121,6 @@ where
     let mut repair_bytes_read = 0;
     let mut requeued = 0;
     let mut reads = 0;
-    let start = std::time::Instant::now();
 
     let end = plan.horizon() + faults::MAX_OUTAGE_TICKS + 1;
     for t in 1..=end {
@@ -159,7 +163,6 @@ where
     }
     assert!(dfs.fsck().all_healthy(), "{family}: degraded after soak");
     assert_eq!(dfs.get("chaos-object").unwrap(), data, "{family}: final");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let after = counter_values();
     let delta = |i: usize| after[i] - before[i];
@@ -177,7 +180,6 @@ where
         repair_bytes_read,
         requeued,
         reads,
-        wall_ms,
     }
 }
 
@@ -197,41 +199,15 @@ fn straggler_repair(code: &dyn ErasureCode, block_mb: f64, multiplier: f64) -> (
 fn main() {
     galloper_obs::init_from_env();
     let seed = faults::seed_from_env(0xD15A_57E4);
-    let ticks = env_usize("GALLOPER_CHAOS_TICKS", 400) as u64;
-    let object_kb = env_usize("GALLOPER_OBJECT_KB", 96);
 
     println!("# Chaos soak — seeded faults vs self-healing, all four families");
-    println!("seed {seed:#x}, horizon {ticks} ticks, {object_kb} KiB object per family\n");
+    println!("seed {seed:#x}, horizon {TICKS} ticks, {OBJECT_KB} KiB object per family\n");
 
     let rows = vec![
-        soak(
-            "rs",
-            ReedSolomon::new(4, 2, 1024).unwrap(),
-            seed,
-            ticks,
-            object_kb << 10,
-        ),
-        soak(
-            "pyramid",
-            Pyramid::new(4, 2, 1, 1024).unwrap(),
-            seed,
-            ticks,
-            object_kb << 10,
-        ),
-        soak(
-            "carousel",
-            Carousel::new(4, 2, 512).unwrap(),
-            seed,
-            ticks,
-            object_kb << 10,
-        ),
-        soak(
-            "galloper",
-            Galloper::uniform(4, 2, 1, 512).unwrap(),
-            seed,
-            ticks,
-            object_kb << 10,
-        ),
+        soak("rs", ReedSolomon::new(4, 2, 1024).unwrap(), seed),
+        soak("pyramid", Pyramid::new(4, 2, 1, 1024).unwrap(), seed),
+        soak("carousel", Carousel::new(4, 2, 512).unwrap(), seed),
+        soak("galloper", Galloper::uniform(4, 2, 1, 512).unwrap(), seed),
     ];
 
     println!("## Survival bill (zero data loss asserted for every row)\n");
@@ -246,7 +222,6 @@ fn main() {
         "repair read (KiB)",
         "requeued",
         "reads",
-        "wall (ms)",
     ]);
     for r in &rows {
         t.row(&[
@@ -260,7 +235,6 @@ fn main() {
             format!("{}", r.repair_bytes_read >> 10),
             r.requeued.to_string(),
             r.reads.to_string(),
-            format!("{:.1}", r.wall_ms),
         ]);
     }
     println!("{}", t.to_markdown());
@@ -304,13 +278,12 @@ fn main() {
         &Json::object()
             .field("fig", "chaos")
             .field("seed", format!("{seed:#x}"))
-            .field("ticks", ticks)
-            .field("object_kb", object_kb)
+            .field("ticks", TICKS)
+            .field("object_kb", OBJECT_KB)
             .field(
                 "families",
                 Json::Arr(rows.iter().map(Outcome::to_json).collect()),
             )
-            .field("straggler", Json::Arr(straggler_rows))
-            .field("metrics", galloper_obs::global().snapshot()),
+            .field("straggler", Json::Arr(straggler_rows)),
     );
 }

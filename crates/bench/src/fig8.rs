@@ -38,10 +38,11 @@ pub struct Fig8Row {
 }
 
 impl Fig8Cell {
-    /// The cell as a JSON object — same fields the markdown prints.
+    /// The cell as a JSON object: the determined fields the markdown
+    /// prints. The wall-clock `compute_secs` stays out, so a rerun of
+    /// the same configuration writes the same document.
     pub fn to_json(&self) -> galloper_obs::Json {
         galloper_obs::Json::object()
-            .field("compute_secs", self.compute_secs)
             .field("simulated_secs", self.simulated_secs)
             .field("disk_read_mb", self.disk_read_mb)
             .field("fan_in", self.fan_in)

@@ -28,7 +28,6 @@ pub mod fig10;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod micro;
 pub mod table;
 
 use std::path::PathBuf;
@@ -73,8 +72,9 @@ pub fn json_out_dir_from(args: impl IntoIterator<Item = String>) -> Option<PathB
 /// the top level for older tooling — plus a [`bench_env`] block (git
 /// revision, kernel backend, worker-pool width, timestamp), so results
 /// gathered on different machines — or under a `GALLOPER_KERNEL`
-/// override — stay attributable and `galloper bench-diff` can refuse to
-/// compare apples to oranges.
+/// override — stay attributable. Both are provenance, not results:
+/// `galloper bench-diff` drops them before it compares two documents
+/// for equality.
 pub fn emit_json(name: &str, doc: &Json) {
     let Some(dir) = json_out_dir() else { return };
     let mut doc = doc.clone();

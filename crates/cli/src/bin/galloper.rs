@@ -9,7 +9,7 @@
 //! galloper fsck    <dir> [--repair]
 //! galloper inspect <dir>
 //! galloper weights -k 4 -l 2 -g 1 --perfs 1.0,1.0,1.0,0.4,0.4,0.4,1.0
-//! galloper bench-diff <baseline.json> <new.json> [--check] [--threshold PCT]
+//! galloper bench-diff <baseline.json> <new.json> [--check]
 //! galloper serve   [--daemons 3] [--root DIR] [--listen ADDR]
 //! galloper daemon  --root DIR [--listen ADDR]
 //! galloper net-put <gateway-addr> <name> <file>
@@ -31,7 +31,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().cloned().unwrap_or_default();
     // bench-diff has its own argument shape (two JSON paths, its own
-    // flags, a distinct exit code for regressions), so it bypasses the
+    // flag, a distinct exit code for differences), so it bypasses the
     // generic option parser and the metrics snapshot.
     if command == "bench-diff" {
         return run_bench_diff(&args[1..]);
@@ -58,13 +58,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Compares two `BENCH_*.json` runs; with `--check`, exits with code 2
-/// when a gated metric regressed beyond the threshold (default 5%).
-/// With a single file argument, the baseline is looked up by file name
-/// under `$GALLOPER_BENCH_BASELINE`.
+/// Compares two `BENCH_*.json` documents for equality (provenance
+/// aside) and lists every difference; with `--check`, any difference
+/// exits with code 2.
 fn run_bench_diff(args: &[String]) -> ExitCode {
-    let baseline_dir = std::env::var("GALLOPER_BENCH_BASELINE").ok();
-    let parsed = match galloper_cli::benchdiff::parse_args(args, baseline_dir.as_deref()) {
+    use galloper_cli::benchdiff::{check_files, parse_args};
+    let parsed = match parse_args(args) {
         Ok(p) => p,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -73,26 +72,25 @@ fn run_bench_diff(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match galloper_cli::benchdiff::check_files(&parsed.baseline, &parsed.new, parsed.threshold) {
-        Ok((report, regressions)) => {
-            print!("{report}");
-            if regressions > 0 {
-                eprintln!(
-                    "bench-diff: {regressions} regression(s) beyond the {:.1}% threshold ({} vs {})",
-                    parsed.threshold * 100.0,
-                    parsed.baseline.display(),
-                    parsed.new.display(),
-                );
-                if parsed.check {
-                    return ExitCode::from(2);
-                }
-            } else {
-                println!(
-                    "bench-diff: no regressions beyond the {:.1}% threshold",
-                    parsed.threshold * 100.0
-                );
-            }
+    let (baseline, new) = (parsed.baseline.display(), parsed.new.display());
+    match check_files(&parsed.baseline, &parsed.new) {
+        Ok(diffs) if diffs.is_empty() => {
+            println!("bench-diff: {baseline} and {new} match");
             ExitCode::SUCCESS
+        }
+        Ok(diffs) => {
+            for d in &diffs {
+                println!("{d}");
+            }
+            eprintln!(
+                "bench-diff: {} difference(s) between {baseline} and {new}",
+                diffs.len()
+            );
+            if parsed.check {
+                ExitCode::from(2)
+            } else {
+                ExitCode::SUCCESS
+            }
         }
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -196,9 +194,9 @@ const USAGE: &str = "usage:
   galloper check   <dir>
   galloper fsck    <dir> [--repair]
   galloper weights -k K -l L -g G --perfs P1,P2,...
-  galloper bench-diff <baseline.json> <new.json> [--check] [--threshold PCT]
-                   (or: bench-diff <new.json> with GALLOPER_BENCH_BASELINE=DIR;
-                    --check exits 2 when a gated metric regresses > PCT, default 5)
+  galloper bench-diff <baseline.json> <new.json> [--check]
+                   (lists every difference but bench_env / kernel_backend;
+                    --check exits 2 on any)
   galloper serve   [--daemons N] [--root DIR] [--listen ADDR] [--family F ...]
                    (spawns N storage daemons + a gateway; handshake lines
                     GALLOPER_DAEMON_PID / GALLOPER_DAEMON_LISTENING /

@@ -25,8 +25,10 @@
 //! hammers `GetObject` for `--seconds`, verifying every response
 //! byte-for-byte against the expected payload. Results — p50/p99/p999
 //! latency from the shared HDR histogram registry, sustained GB/s, and
-//! the `byte_errors` gate — are emitted as `BENCH_serve.json` when
-//! `--json` (or `GALLOPER_JSON_OUT`) is set.
+//! the error counts — are emitted as `BENCH_serve.json` when `--json`
+//! (or `GALLOPER_JSON_OUT`) is set. The exit status is the gate: any
+//! byte error, accounting mismatch, scrape error or oversize refusal
+//! fails the run (see `verdict`).
 
 #![forbid(unsafe_code)]
 
@@ -102,7 +104,9 @@ const USAGE: &str = "usage:
                    [--json[=DIR]]
 ADDR is the gateway address printed by `galloper serve` as
 GALLOPER_GATEWAY_LISTENING. Emits
-BENCH_serve.json into the --json / GALLOPER_JSON_OUT directory.";
+BENCH_serve.json into the --json / GALLOPER_JSON_OUT directory.
+Exits 2 on a byte error, 3 on a GET-count mismatch, 4 on a scrape
+error or an oversize refusal.";
 
 fn parse_args(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config {
@@ -351,19 +355,53 @@ fn run(cfg: &Config) -> ExitCode {
         hist.quantile(0.999),
     );
     galloper_bench::emit_json("serve", &doc);
+    match verdict(&doc) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err((code, msg)) => {
+            eprintln!("loadgen: FAILED — {msg}");
+            ExitCode::from(code)
+        }
+    }
+}
+
+/// Passes or fails the run from the document it emits: exit code 2 when
+/// a response did not match its payload, 3 when the gateway's GET count
+/// disagrees with the clients' on clean transport, and 4 when the
+/// gateway's scraper failed or a chunked transfer was refused as
+/// oversize. Every one of these counts is zero on a correct store.
+fn verdict(doc: &Json) -> Result<(), (u8, String)> {
+    let count = |path: &[&str]| {
+        let leaf = path.iter().try_fold(doc, |v, key| v.get(key));
+        leaf.and_then(Json::as_u64).unwrap_or(0)
+    };
+    let byte_errors = count(&["byte_errors"]);
+    let scrape_errors = count(&["scrape", "scrape_errors"]);
+    let oversize_errors = count(&["oversize_errors"]);
     if byte_errors > 0 {
-        eprintln!("loadgen: FAILED — {byte_errors} responses did not match the expected payload");
-        return ExitCode::from(2);
+        Err((
+            2,
+            format!("{byte_errors} responses did not match the expected payload"),
+        ))
+    } else if count(&["scrape", "count_mismatch"]) > 0 {
+        Err((
+            3,
+            format!(
+                "gateway counted {} GETs but clients saw {} responses on clean transport",
+                count(&["scrape", "gateway_get_count_delta"]),
+                count(&["scrape", "expected_get_responses"]),
+            ),
+        ))
+    } else if scrape_errors + oversize_errors > 0 {
+        Err((
+            4,
+            format!(
+                "{scrape_errors} gateway scrape errors, \
+                 {oversize_errors} oversize refusals on the chunked path"
+            ),
+        ))
+    } else {
+        Ok(())
     }
-    if count_mismatch {
-        eprintln!(
-            "loadgen: FAILED — gateway counted {} GETs but clients saw {expected_gets} \
-             responses on clean transport",
-            get_delta.unwrap_or(0)
-        );
-        return ExitCode::from(3);
-    }
-    ExitCode::SUCCESS
 }
 
 /// Uploads every object from a small pool of writer threads (puts
@@ -554,6 +592,27 @@ mod tests {
         let d = scheduled_offset(3, 10, 8, 400.0);
         // Client 3's 10th request: global index 10*8+3 = 83, at 83/400s.
         assert!((d.as_secs_f64() - 83.0 / 400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn verdict_fails_on_any_nonzero_error_count() {
+        let doc = |byte_errors: u64, mismatch: u64, scrape_errors: u64, oversize: u64| {
+            Json::object()
+                .field("byte_errors", byte_errors)
+                .field("oversize_errors", oversize)
+                .field(
+                    "scrape",
+                    Json::object()
+                        .field("count_mismatch", mismatch)
+                        .field("scrape_errors", scrape_errors),
+                )
+        };
+        let code = |d: Json| verdict(&d).err().map(|(code, _)| code);
+        assert_eq!(code(doc(0, 0, 0, 0)), None);
+        assert_eq!(code(doc(1, 0, 0, 0)), Some(2));
+        assert_eq!(code(doc(0, 1, 0, 0)), Some(3));
+        assert_eq!(code(doc(0, 0, 1, 0)), Some(4));
+        assert_eq!(code(doc(0, 0, 0, 1)), Some(4));
     }
 
     #[test]

@@ -597,19 +597,6 @@ macro_rules! counter {
     }};
 }
 
-/// Starts a scoped timer on the global registry; the value binds to a
-/// local so it drops (and records) at end of scope.
-///
-/// ```
-/// let _t = galloper_obs::timer!("erasure.encode_us");
-/// ```
-#[macro_export]
-macro_rules! timer {
-    ($name:expr) => {
-        $crate::global().timer($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

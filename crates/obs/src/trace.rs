@@ -199,16 +199,6 @@ impl TraceRing {
         });
     }
 
-    /// Starts a span guard; the span is recorded when the guard drops.
-    pub fn span(&self, name: &str, cat: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            ring: self,
-            name: name.to_string(),
-            cat: cat.to_string(),
-            start: Instant::now(),
-        }
-    }
-
     fn push(&self, event: TraceEvent) {
         let mut inner = self.inner.lock().unwrap();
         if inner.events.len() < self.capacity {
@@ -300,23 +290,6 @@ impl TraceRing {
     }
 }
 
-/// Guard returned by [`TraceRing::span`]; records the span on drop.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    ring: &'a TraceRing,
-    name: String,
-    cat: String,
-    start: Instant,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let dur_us = self.start.elapsed().as_micros() as u64;
-        self.ring
-            .record_span(&self.name, &self.cat, self.start, dur_us);
-    }
-}
-
 /// The process-wide trace ring of 65 536 events, disabled until
 /// [`TraceRing::set_enabled`] is called.
 pub fn global_trace() -> &'static TraceRing {
@@ -342,24 +315,21 @@ mod tests {
     fn disabled_ring_records_nothing() {
         let ring = TraceRing::with_capacity(8);
         ring.record_instant("x", "test");
-        {
-            let _s = ring.span("y", "test");
-        }
+        ring.record_span("y", "test", Instant::now(), 1);
         assert!(ring.events().is_empty());
         assert!(ring.is_empty());
     }
 
     #[test]
-    fn span_guard_records_on_drop() {
+    fn enabled_ring_records_spans() {
         let ring = TraceRing::with_capacity(8);
         ring.set_enabled(true);
-        {
-            let _s = ring.span("op", "test");
-        }
+        ring.record_span("op", "test", Instant::now(), 5);
         let events = ring.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "op");
         assert_eq!(events[0].cat, "test");
+        assert_eq!(events[0].dur_us, 5);
     }
 
     #[test]

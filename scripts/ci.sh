@@ -54,11 +54,12 @@ fi
 # Every setting earns its place: a knob that nothing sets to a second
 # value is the constant it defaults to. The serving-plane tunables, the
 # address knobs that duplicate --listen / --gateway, the per-family
-# thread overrides (the pool's width is the one thread-count rule) and
-# the straggler multiplier nothing read stay deleted. (The bracketed
-# letters keep this script from matching itself.)
+# thread overrides (the pool's width is the one thread-count rule), the
+# straggler multiplier nothing read, the chaos bench's size knobs and
+# bench-diff's baseline directory and tolerance stay deleted. (The
+# bracketed letters keep this script from matching itself.)
 echo "==> no deleted knobs"
-if grep -rnE 'GALLOPER_(CHUNK_BYTES|ADMISSION_MS|MAX_INFLIGHT|STAT_RING|LISTEN|GATEWAY|POOL_THREADS|TRACE_CAP|KERNEL_MB)\b|with_thread[s]|set_slo[w]' \
+if grep -rnE 'GALLOPER_(CHUNK_BYTES|ADMISSION_MS|MAX_INFLIGHT|STAT_RING|LISTEN|GATEWAY|POOL_THREADS|TRACE_CAP|KERNEL_MB|BENCH_BASELINE|CHAOS_TICKS|OBJECT_KB)\b|with_thread[s]|set_slo[w]|--threshol[d]' \
   crates src tests scripts README.md DESIGN.md; then
   echo "ci: a deleted knob is back; make it a constant unless something sets it"
   exit 1
@@ -181,23 +182,26 @@ GALLOPER_FAULT_SEED=2147483647 cargo test -q --release --test chaos
 GALLOPER_FAULT_SEED=2147483647 GALLOPER_KERNEL=scalar \
   cargo test -q --release --test chaos
 
-# Bench-regression gate: re-run the short pinned-seed benches with the
-# exact configuration that produced results/baselines/ and fail on any
-# gated-metric regression (simulated times, disk I/O, data loss).
-# Machine-dependent wall-clock numbers in these two are reported but
-# never gated.
-echo "==> bench-regression gate (galloper bench-diff --check)"
+# Bench gates: every gated document holds only values the code
+# determines (counts, bytes read, simulated times), so each is diffed
+# for equality (provenance aside) against its committed copy. `chaos`
+# runs at its defaults and must reproduce results/BENCH_chaos.json
+# under both kernel backends; fig8 runs with the configuration that
+# recorded results/baselines/BENCH_fig8.json.
+echo "==> bench gates (galloper bench-diff <baseline> <new> --check)"
 cargo build --release -p galloper-bench -p galloper-cli --bins
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "$BENCH_TMP"' EXIT
-GALLOPER_FAULT_SEED=2147483647 GALLOPER_CHAOS_TICKS=120 GALLOPER_OBJECT_KB=48 \
-  GALLOPER_JSON_OUT="$BENCH_TMP" ./target/release/chaos >/dev/null
+GALLOPER_JSON_OUT="$BENCH_TMP/auto" ./target/release/chaos >/dev/null
+GALLOPER_KERNEL=scalar GALLOPER_JSON_OUT="$BENCH_TMP/scalar" ./target/release/chaos >/dev/null
+for kernel in auto scalar; do
+  ./target/release/galloper bench-diff results/BENCH_chaos.json \
+    "$BENCH_TMP/$kernel/BENCH_chaos.json" --check
+done
 GALLOPER_BLOCK_MB=0.5 GALLOPER_REPS=3 \
   GALLOPER_JSON_OUT="$BENCH_TMP" ./target/release/fig8 >/dev/null
-for bench in BENCH_chaos.json BENCH_fig8.json; do
-  GALLOPER_BENCH_BASELINE=results/baselines \
-    ./target/release/galloper bench-diff "$BENCH_TMP/$bench" --check
-done
+./target/release/galloper bench-diff results/baselines/BENCH_fig8.json \
+  "$BENCH_TMP/BENCH_fig8.json" --check
 
 # Networked-store smoke: a real 3-daemon + gateway cluster on
 # loopback. Put an object, read it back byte-exact, kill -9 one
@@ -244,14 +248,13 @@ cmp "$BIG_DIR/big.bin" "$BIG_DIR/big-back.bin"
 rm -f "$BIG_DIR/big-back.bin"
 
 # Short loadgen pass against the healthy cluster (writes need every
-# daemon; only reads survive a loss), gated like every other bench:
-# byte_errors is a lower-is-better gate in bench-diff.
-echo "==> loadgen gate (BENCH_serve.json vs baseline)"
-GALLOPER_JSON_OUT="$SERVE_TMP" ./target/release/galloper-loadgen \
+# daemon; only reads survive a loss). Its exit status is the gate: it
+# fails on any byte error, GET-count mismatch, scrape error or oversize
+# refusal.
+echo "==> loadgen gate (exit status)"
+./target/release/galloper-loadgen \
   --gateway "$GATEWAY" --clients 64 --rate 400 --seconds 3 \
   --objects 8 --object-bytes 16384 >/dev/null
-GALLOPER_BENCH_BASELINE=results/baselines \
-  ./target/release/galloper bench-diff "$SERVE_TMP/BENCH_serve.json" --check
 
 # Observability gate, healthy side: the gateway's scraper must see all
 # three daemons and the merged view must parse as a healthy cluster
